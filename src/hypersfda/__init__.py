@@ -20,17 +20,13 @@ from .datagen import (
     save_dataset,
 )
 from .hypergraph import (
-    Hyperedge,
     HypergraphArtifacts,
-    SelfLoopSet,
     build_artifacts,
     build_hyperedges,
     build_relation_matrix,
     cluster_high_order,
-    compress_rows,
     cosine_knn,
     merge_self_loops,
-    neighbor_mean_prediction,
     normalized_entropy,
     self_loop_affinities,
     solve_affinity,
@@ -51,11 +47,7 @@ from .model import (
 from .objective import (
     EmaState,
     LossBreakdown,
-    adaptive_loss,
-    ema_update,
-    kl_regularizer,
     lambda_schedule,
-    prediction_distance,
     total_loss,
 )
 from .trainer import (
@@ -80,41 +72,33 @@ __all__ = [
     "EmaState",
     "EmbeddingDataset",
     "GradientSet",
-    "Hyperedge",
     "HypergraphArtifacts",
     "LossBreakdown",
     "MemoryBank",
     "MetricsRecord",
-    "SelfLoopSet",
     "ShiftSpec",
     "TrainerState",
     "TrainingAborted",
     "accuracy",
     "adapt",
-    "adaptive_loss",
     "backward",
     "build_artifacts",
     "build_hyperedges",
     "build_relation_matrix",
     "cluster_high_order",
-    "compress_rows",
     "cosine_knn",
-    "ema_update",
     "evaluate",
     "forward",
     "gen_gaussian_domains",
     "gen_two_moons_domains",
     "init_model",
-    "kl_regularizer",
     "lambda_schedule",
     "load_checkpoint",
     "load_dataset",
     "load_model",
     "merge_self_loops",
-    "neighbor_mean_prediction",
     "normalized_entropy",
     "open_set_split",
-    "prediction_distance",
     "pretrain_source",
     "refresh_hypergraph",
     "save_checkpoint",

@@ -1,14 +1,19 @@
-"""Hypergraph construction over target samples.
+"""Hypergraph construction over target samples, held as plain arrays.
 
-Each sample anchors one hyperedge consisting of itself plus its k-1
-nearest neighbors by cosine similarity of adapter features. Neighbor
-affinities come from a nonnegative least-squares reconstruction of the
-anchor feature; per-node self-loops weight uncertain neighborhoods by the
-exponential of the normalized entropy of the mean neighbor prediction.
-The merged affinities populate a sparse node-by-edge relation matrix
-whose rows, compressed by PCA, define each node's high-order cluster.
+Sample i anchors hyperedge i: itself (member 0) plus its k-1 nearest
+neighbors by cosine similarity of adapter features. Over n samples:
 
-All operations here are pure functions of immutable inputs.
+- neighbors (n, k-1): edge i's neighbors by decreasing similarity.
+- affinity (n, k): column 0 is the anchor's coefficient, exactly 1 before
+  the self-loop merge; column 1 + j is neighbors[i, j]'s nonnegative
+  least-squares weight in the reconstruction of the anchor feature.
+- selfloops (n,): exp of the normalized entropy of edge i's mean neighbor
+  prediction, in [1, e]. The merge adds each member's own self-loop.
+
+The merged affinities fill the sparse node-by-edge relation matrix H
+(column j holds edge j's affinities at its members), whose rows,
+compressed by PCA, define each node's high-order cluster. Every function
+here is pure: no input is modified.
 """
 from __future__ import annotations
 
@@ -25,65 +30,6 @@ SOLVER_KKT_TOL = 1e-6
 PCA_TOL = 1e-8
 PCA_MAX_ITER = 5000
 ACTIVE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Hyperedge:
-    """Anchor node, its ordered neighbors, and the length-k affinity vector.
-
-    affinity[0] belongs to the anchor (exactly 1 before self-loop merge),
-    affinity[1 + j] to neighbors[j]. `converged` reports whether the
-    affinity solve met its tolerance.
-    """
-
-    anchor: int
-    neighbors: np.ndarray
-    affinity: np.ndarray
-    converged: bool = True
-
-    def __post_init__(self) -> None:
-        neighbors = np.ascontiguousarray(np.asarray(self.neighbors, dtype=np.int64))
-        affinity = np.ascontiguousarray(np.asarray(self.affinity, dtype=np.float64))
-        object.__setattr__(self, "neighbors", neighbors)
-        object.__setattr__(self, "affinity", affinity)
-        k = 1 + neighbors.size
-        if k <= 2:
-            raise ConfigError(f"hyperedge must have more than 2 members, got {k}")
-        if affinity.shape != (k,):
-            raise ConfigError(
-                f"affinity length {affinity.shape} does not match degree {k}"
-            )
-        if self.anchor in neighbors:
-            raise ConfigError(f"anchor {self.anchor} appears in its own neighbor list")
-        if len(set(neighbors.tolist())) != neighbors.size:
-            raise ConfigError(f"duplicate neighbors in edge anchored at {self.anchor}")
-        if not np.isfinite(affinity).all() or (affinity < 0).any():
-            raise ConfigError(f"affinity of edge {self.anchor} must be finite and >= 0")
-        neighbors.flags.writeable = False
-        affinity.flags.writeable = False
-
-    @property
-    def degree(self) -> int:
-        return 1 + self.neighbors.size
-
-    def members(self) -> np.ndarray:
-        return np.concatenate([[self.anchor], self.neighbors])
-
-
-@dataclass(frozen=True)
-class SelfLoopSet:
-    """Per-node self-loop affinity values, each in [1, e]."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1:
-            raise ConfigError("self-loop values must be a 1-D vector")
-        if (values < 1.0 - 1e-12).any() or (values > np.e + 1e-12).any():
-            raise ConfigError("self-loop values must lie in [1, e]")
-        values.flags.writeable = False
 
 
 def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
@@ -106,14 +52,6 @@ def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
     # stable sort keeps equal similarities in ascending index order
     order = np.argsort(-sim, axis=1, kind="stable")
     return order[:, :k_minus_1].astype(np.int64)
-
-
-def affinity_objective(a: np.ndarray, anchor: np.ndarray, neighbors: np.ndarray,
-                       alpha: float) -> float:
-    """Reconstruction objective ||a . neighbors - anchor||^2 + alpha*||a||_2."""
-    a = np.asarray(a, dtype=np.float64)
-    resid = a @ neighbors - anchor
-    return float(resid @ resid + alpha * np.linalg.norm(a))
 
 
 def _batch_kkt_residual(a: np.ndarray, grad_smooth: np.ndarray,
@@ -155,10 +93,10 @@ def solve_affinity_batch(
     then the exact proximal map of alpha*||.||_2 + nonnegativity (clip at
     zero, then shrink the norm by step*alpha, collapsing to exactly 0 when
     that is optimal). Acceleration keeps singular Gram matrices (k-1 >
-    d_z) converging to the KKT tolerance. Step size 1/L with L just above
-    twice the largest eigenvalue of the neighbor Gram matrix. Returns
-    (coefficients (n, k-1), converged flags (n,)); never raises on
-    non-convergence.
+    d_z) converging to the KKT tolerance. Step size 1/L with L twice the
+    largest eigenvalue of the neighbor Gram matrix, computed exactly per
+    instance. Returns (coefficients (n, k-1), converged flags (n,)); never
+    raises on non-convergence.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
@@ -169,16 +107,9 @@ def solve_affinity_batch(
     gram = np.einsum("nij,nkj->nik", neighbor_feats, neighbor_feats)
     c = 2.0 * np.einsum("nij,nj->ni", neighbor_feats, anchors)
 
-    # largest Gram eigenvalue per instance by power iteration
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([9, 17])))
-    b = rng.standard_normal((n, k1))
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    for _ in range(128):
-        b = np.einsum("nij,nj->ni", gram, b)
-        nb = np.linalg.norm(b, axis=1, keepdims=True)
-        b /= np.maximum(nb, 1e-300)
-    lam = np.einsum("ni,nij,nj->n", b, gram, b)
-    step = 1.0 / (2.0 * lam * 1.02 + 1e-12)
+    # the smooth term's gradient is Lipschitz with constant 2 * lambda_max(gram)
+    lam = np.linalg.eigvalsh(gram)[:, -1]
+    step = 1.0 / (2.0 * lam + 1e-12)
 
     a = np.zeros((n, k1))
     a_prev = a
@@ -225,88 +156,72 @@ def solve_affinity(anchor_feature: np.ndarray, neighbor_features: np.ndarray,
     return a[0], bool(flags[0])
 
 
-def affinity_kkt_residual(a: np.ndarray, anchor: np.ndarray, neighbors: np.ndarray,
-                          alpha: float) -> float:
-    """Optimality residual of a candidate solution (0 at the true optimum)."""
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    grad = 2.0 * (a @ neighbors - anchor) @ neighbors.T
-    return float(_batch_kkt_residual(a, grad, alpha)[0])
+def build_hyperedges(features: np.ndarray, k: int,
+                     alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One hyperedge per node: itself plus its k-1 cosine neighbors.
 
-
-def build_hyperedges(features: np.ndarray, k: int, alpha: float) -> list[Hyperedge]:
-    """One hyperedge per node: itself plus k-1 cosine neighbors with affinities."""
+    Returns (neighbors (n, k-1), affinity (n, k), converged (n,)): column 0
+    of affinity is the anchor's coefficient, exactly 1, and converged says
+    whether each edge's affinity solve met its tolerance.
+    """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
     if k <= 2:
         raise ConfigError(f"k must be greater than 2, got {k}")
     if n <= k - 1:
         raise ConfigError(f"need more than k-1={k - 1} samples, got {n}")
-    knn = cosine_knn(features, k - 1)
-    coeffs, flags = solve_affinity_batch(features, features[knn], alpha)
-    edges = []
-    for i in range(n):
-        affinity = np.concatenate([[1.0], coeffs[i]])
-        edges.append(Hyperedge(i, knn[i], affinity, converged=bool(flags[i])))
-    return edges
+    # a finite row whose squared norm overflows would overflow the Gram matrices
+    bad = np.flatnonzero(~np.isfinite(np.einsum("ij,ij->i", features, features)))
+    if bad.size:
+        raise ConfigError(f"feature row at index {bad[0]} is not finite or overflows")
+    neighbors = cosine_knn(features, k - 1)
+    coeffs, converged = solve_affinity_batch(features, features[neighbors], alpha)
+    return neighbors, np.column_stack((np.ones(n), coeffs)), converged
 
 
-def neighbor_mean_prediction(edge: Hyperedge, predictions: np.ndarray) -> np.ndarray:
-    """Mean prediction over the edge's neighbors; the anchor is excluded."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    return predictions[edge.neighbors].mean(axis=0)
+def normalized_entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of p divided by log(|C|), in [0, 1]; 0*log 0 = 0.
 
-
-def normalized_entropy(p: np.ndarray) -> float:
-    """Shannon entropy of p divided by log(|C|), in [0, 1]; 0*log 0 = 0."""
+    p is one probability vector or a stack of them along the last axis;
+    the result drops that axis.
+    """
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or (p < -1e-9).any() or abs(p.sum() - 1.0) > 1e-6:
-        raise ConfigError(f"not a probability vector: {p}")
-    if p.size < 2:
-        return 0.0
+    bad = (p < -1e-9).any(axis=-1) | (np.abs(p.sum(axis=-1) - 1.0) > 1e-6)
+    if bad.any():
+        raise ConfigError(f"not a probability vector: {p[bad][0]}")
+    if p.shape[-1] < 2:
+        return np.zeros(p.shape[:-1])
     q = np.clip(p, 0.0, None)
-    nz = q[q > 0]
-    h = float(-(nz * np.log(nz)).sum() / np.log(p.size))
-    return min(max(h, 0.0), 1.0)
+    terms = q * np.log(np.where(q > 0, q, 1.0))  # 0 where q == 0
+    return np.clip(-terms.sum(axis=-1) / np.log(p.shape[-1]), 0.0, 1.0)
 
 
-def self_loop_affinities(hyperedges: list[Hyperedge],
-                         predictions: np.ndarray) -> SelfLoopSet:
-    """W_s(v_i) = exp of the normalized entropy of edge i's mean neighbor prediction."""
-    if [e.anchor for e in hyperedges] != list(range(len(hyperedges))):
-        raise ConfigError("expected one hyperedge per node, anchored in index order")
-    values = np.array([
-        np.exp(normalized_entropy(neighbor_mean_prediction(e, predictions)))
-        for e in hyperedges
-    ])
-    return SelfLoopSet(values)
+def self_loop_affinities(neighbors: np.ndarray, predictions: np.ndarray) -> np.ndarray:
+    """W_s(v_i) = exp of the normalized entropy of edge i's mean neighbor prediction.
+
+    The anchor's own prediction is left out of the mean. Values lie in [1, e].
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    return np.exp(normalized_entropy(predictions[neighbors].mean(axis=1)))
 
 
-def merge_self_loops(hyperedges: list[Hyperedge],
-                     selfloops: SelfLoopSet) -> list[Hyperedge]:
+def _members(neighbors: np.ndarray) -> np.ndarray:
+    """(n, k) members of every edge: the anchor first, then its neighbors."""
+    return np.column_stack((np.arange(neighbors.shape[0]), neighbors))
+
+
+def merge_self_loops(neighbors: np.ndarray, affinity: np.ndarray,
+                     selfloops: np.ndarray) -> np.ndarray:
     """Add each member's own self-loop value to its affinity entry."""
-    merged = []
-    for edge in hyperedges:
-        bump = np.concatenate([
-            [selfloops.values[edge.anchor]], selfloops.values[edge.neighbors]
-        ])
-        merged.append(
-            Hyperedge(edge.anchor, edge.neighbors, edge.affinity + bump,
-                      converged=edge.converged)
-        )
-    return merged
+    return affinity + selfloops[_members(neighbors)]
 
 
-def build_relation_matrix(hyperedges: list[Hyperedge]) -> sp.csc_array:
-    """Sparse n x n matrix: column j holds edge j's affinities at its members."""
-    n = len(hyperedges)
-    rows, cols, data = [], [], []
-    for j, edge in enumerate(hyperedges):
-        members = edge.members()
-        rows.extend(members.tolist())
-        cols.extend([j] * members.size)
-        data.extend(edge.affinity.tolist())
-    return sp.csc_array((data, (rows, cols)), shape=(n, n))
+def build_relation_matrix(neighbors: np.ndarray, affinity: np.ndarray) -> sp.csc_array:
+    """Sparse n x n matrix H: column j holds edge j's affinities at its members."""
+    n, k = affinity.shape
+    rows = _members(neighbors).ravel()
+    cols = np.repeat(np.arange(n), k)
+    return sp.csc_array((affinity.ravel(), (rows, cols)), shape=(n, n))
 
 
 def _center_matvec(H, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -373,12 +288,6 @@ def pca_rows(H, m_prime: int, seed: int, tol: float = PCA_TOL,
     return compressed, components, eigvals
 
 
-def compress_rows(H, m_prime: int, seed: int) -> np.ndarray:
-    """Rows of H projected onto their top-m' mean-centered principal axes."""
-    compressed, _, _ = pca_rows(H, m_prime, seed)
-    return compressed
-
-
 def default_m_prime(n: int) -> int:
     return min(64, n - 1)
 
@@ -409,12 +318,14 @@ def cluster_high_order(compressed: np.ndarray, h: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HypergraphArtifacts:
-    """Everything one hypergraph refresh produces."""
+    """Everything one hypergraph refresh over n nodes produces."""
 
-    edges: list[Hyperedge]
-    selfloops: SelfLoopSet | None
-    relation: sp.csc_array
-    compressed: np.ndarray
+    neighbors: np.ndarray  # (n, k-1), from build_hyperedges
+    affinity: np.ndarray  # (n, k), the entries of H; self-loops merged in when used
+    converged: np.ndarray  # (n,) bool, per-edge affinity solve met its tolerance
+    selfloops: np.ndarray | None  # (n,) in [1, e]; None without self-loops
+    relation: sp.csc_array  # H, (n, n) with k*n nonzeros
+    compressed: np.ndarray  # (n, m'), rows of H after PCA
     clusters: np.ndarray  # (n, h) close-set indices
 
 
@@ -423,32 +334,14 @@ def build_artifacts(features: np.ndarray, predictions: np.ndarray, *, k: int,
                     use_self_loops: bool = True) -> HypergraphArtifacts:
     """Full pipeline: hyperedges, self-loops, relation matrix, PCA, clusters."""
     n = np.asarray(features).shape[0]
-    edges = build_hyperedges(features, k, alpha)
+    neighbors, affinity, converged = build_hyperedges(features, k, alpha)
     selfloops = None
     if use_self_loops:
-        selfloops = self_loop_affinities(edges, predictions)
-        edges = merge_self_loops(edges, selfloops)
-    relation = build_relation_matrix(edges)
+        selfloops = self_loop_affinities(neighbors, predictions)
+        affinity = merge_self_loops(neighbors, affinity, selfloops)
+    relation = build_relation_matrix(neighbors, affinity)
     m_prime = default_m_prime(n) if m_prime is None else m_prime
-    compressed = compress_rows(relation, m_prime, seed)
+    compressed = pca_rows(relation, m_prime, seed)[0]
     clusters = cluster_high_order(compressed, h)
-    return HypergraphArtifacts(edges, selfloops, relation, compressed, clusters)
-
-
-def debug_dict(artifacts: HypergraphArtifacts) -> dict:
-    """JSON-serializable dump of the hypergraph for inspection."""
-    return {
-        "nodes": len(artifacts.edges),
-        "edges": [
-            {
-                "anchor": int(e.anchor),
-                "neighbors": e.neighbors.tolist(),
-                "affinity": e.affinity.tolist(),
-                "converged": bool(e.converged),
-            }
-            for e in artifacts.edges
-        ],
-        "selfloops": (
-            artifacts.selfloops.values.tolist() if artifacts.selfloops is not None else None
-        ),
-    }
+    return HypergraphArtifacts(neighbors, affinity, converged, selfloops, relation,
+                               compressed, clusters)

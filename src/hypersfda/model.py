@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,50 +227,60 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
     return model, accuracy(model, source)
 
 
-def _write_tensors(fh, tensors) -> None:
-    for t in tensors:
-        fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+def write_arrays(fh, arrays, dtype: str = "<f8") -> None:
+    for a in arrays:
+        fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
+@contextmanager
+def checkpoint_writer(path: str | Path, version: int, model: AdaptModel):
+    """Header and model tensors, then the caller's payload; replaces `path` atomically."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<H", version))
+        fh.write(struct.pack("<III", model.dim, model.d_z, model.class_count))
+        write_arrays(fh, model.tensors())
+        yield fh
+    os.replace(tmp, path)
+
+
+def read_exact(fh, count: int, what: str) -> bytes:
     buf = fh.read(count)
     if len(buf) != count:
         raise CheckpointError(f"truncated checkpoint while reading {what}")
     return buf
 
 
+def read_array(fh, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    count = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.frombuffer(read_exact(fh, count, what), dtype=dtype).reshape(shape).copy()
+
+
 def read_header(fh) -> tuple[int, int, int, int]:
     """Parse magic/version/dims; returns (version, d, d_z, class_count)."""
-    magic = _read_exact(fh, 4, "magic")
+    magic = read_exact(fh, 4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+    (version,) = struct.unpack("<H", read_exact(fh, 2, "version"))
     if version not in (CHECKPOINT_VERSION_MODEL, CHECKPOINT_VERSION_TRAINER):
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    d, d_z, c = struct.unpack("<III", _read_exact(fh, 12, "dims"))
+    d, d_z, c = struct.unpack("<III", read_exact(fh, 12, "dims"))
     return version, d, d_z, c
 
 
 def read_model_tensors(fh, d: int, d_z: int, c: int) -> AdaptModel:
     shapes = [(d, d_z), (d_z,), (d_z, c), (c,)]
-    tensors = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        buf = _read_exact(fh, count * 8, f"tensor of shape {shape}")
-        tensors.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    return AdaptModel(*tensors)
+    return AdaptModel(
+        *(read_array(fh, "<f8", shape, f"tensor of shape {shape}") for shape in shapes)
+    )
 
 
 def save_model(model: AdaptModel, path: str | Path) -> None:
     """Write a version-1 (model-only) checkpoint atomically."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION_MODEL))
-        fh.write(struct.pack("<III", model.dim, model.d_z, model.class_count))
-        _write_tensors(fh, model.tensors())
-    os.replace(tmp, path)
+    with checkpoint_writer(path, CHECKPOINT_VERSION_MODEL, model):
+        pass
 
 
 def load_model(path: str | Path) -> AdaptModel:

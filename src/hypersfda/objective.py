@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
+from .model import PROB_FLOOR
 
-PROB_FLOOR = 1e-12
 SQRT2 = float(np.sqrt(2.0))
 
 
@@ -54,12 +54,6 @@ class LossBreakdown:
             raise FloatingPointError("non-finite loss total")
 
 
-def prediction_distance(p_i: np.ndarray, p_j: np.ndarray) -> float:
-    """Euclidean distance between prediction vectors scaled by its max sqrt(2)."""
-    d = np.linalg.norm(np.asarray(p_i, float) - np.asarray(p_j, float)) / SQRT2
-    return float(min(max(d, 0.0), 1.0))
-
-
 def lambda_schedule(iteration: int, max_iter: int, beta: float) -> float:
     """lambda = (1 + 10*iteration/max_iter)^(-beta), decaying from 1."""
     if max_iter <= 0:
@@ -69,47 +63,6 @@ def lambda_schedule(iteration: int, max_iter: int, beta: float) -> float:
     if beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta}")
     return float((1.0 + 10.0 * iteration / max_iter) ** (-beta))
-
-
-def _weights(p_i: np.ndarray, others: np.ndarray, gamma: float) -> np.ndarray:
-    """(1 - d^gamma) against each row of `others`, treated as constants."""
-    d = np.linalg.norm(others - p_i, axis=-1) / SQRT2
-    d = np.clip(d, 0.0, 1.0)
-    return 1.0 - d ** gamma
-
-
-def adaptive_loss(
-    p_i: np.ndarray,
-    close_preds: np.ndarray,
-    background_preds: np.ndarray,
-    gamma: float,
-    lam: float,
-) -> tuple[float, float, np.ndarray]:
-    """Pull/push loss for one anchor and its gradient w.r.t. p_i.
-
-    Returns (pull, push, grad) with pull = -sum_j w_ij p_i.p_j over the
-    close set and push = lam * sum_k w_ik p_i.p_k over the background set.
-    Weights and retrieved predictions are constants under the gradient.
-    An empty close set is an error; an empty background set is a zero push.
-    """
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
-    p_i = np.asarray(p_i, dtype=np.float64)
-    close_preds = np.asarray(close_preds, dtype=np.float64).reshape(-1, p_i.size)
-    if close_preds.shape[0] == 0:
-        raise ConfigError("close set A_i is empty; clusters must exist")
-    w_close = _weights(p_i, close_preds, gamma)
-    pull = -float(w_close @ (close_preds @ p_i))
-    grad = -(w_close @ close_preds)
-
-    background_preds = np.asarray(background_preds, dtype=np.float64).reshape(-1, p_i.size)
-    if background_preds.shape[0] > 0:
-        w_back = _weights(p_i, background_preds, gamma)
-        push = lam * float(w_back @ (background_preds @ p_i))
-        grad = grad + lam * (w_back @ background_preds)
-    else:
-        push = 0.0
-    return pull, push, grad
 
 
 def adaptive_loss_batch(
@@ -141,24 +94,12 @@ def adaptive_loss_batch(
     return pull, push, grad
 
 
-def ema_update(state: EmaState, sample_index: int, p_current: np.ndarray,
-               delta: float, iteration: int) -> np.ndarray:
-    """q_i <- delta*q_i + (1-delta)*p_i, stamping the update iteration."""
-    if not 0 <= delta < 1:
-        raise ConfigError(f"delta must be in [0, 1), got {delta}")
-    if iteration <= state.last_update_iter[sample_index]:
-        raise ConfigError(
-            f"EMA stamp must increase: sample {sample_index} already updated at "
-            f"iteration {state.last_update_iter[sample_index]}"
-        )
-    state.q[sample_index] = delta * state.q[sample_index] + (1.0 - delta) * p_current
-    state.last_update_iter[sample_index] = iteration
-    return state.q[sample_index]
-
-
 def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
                      delta: float, iteration: int) -> np.ndarray:
-    """Row-wise EMA update for a batch of distinct sample indices."""
+    """q_i <- delta*q_i + (1-delta)*p_i over distinct indices; returns the new rows.
+
+    Each row's update stamp `iteration` must exceed its previous one.
+    """
     if not 0 <= delta < 1:
         raise ConfigError(f"delta must be in [0, 1), got {delta}")
     if (state.last_update_iter[indices] >= iteration).any():
@@ -168,22 +109,11 @@ def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
     return state.q[indices]
 
 
-def kl_regularizer(q_row: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(q || p) with q constant, p floored at 1e-12; 0*log 0 = 0.
-
-    q need not be normalized (it starts at 0), so the value may be
-    negative early in training. Gradient w.r.t. p is -q/p.
-    """
-    q_row = np.asarray(q_row, dtype=np.float64)
-    p_safe = np.maximum(np.asarray(p, dtype=np.float64), PROB_FLOOR)
-    mask = q_row > 0
-    value = float((q_row[mask] * np.log(q_row[mask] / p_safe[mask])).sum())
-    grad = -q_row / p_safe
-    return value, grad
-
-
 def kl_regularizer_batch(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise KL(q || p) values and gradients for aligned batches."""
+    """Row-wise KL(q || p) and its gradient -q/p, q constant, p floored; 0*log 0 = 0.
+
+    q starts at 0 and need not be normalized, so early values may be negative.
+    """
     p_safe = np.maximum(p, PROB_FLOOR)
     terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p_safe), 0.0)
     return terms.sum(axis=1), -q / p_safe

@@ -13,7 +13,6 @@ state to resume bit-exactly.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,16 +24,19 @@ from .config import AdaptConfig, ConfigError
 from .datagen import EmbeddingDataset
 from .hypergraph import HypergraphArtifacts, build_artifacts, cosine_knn, normalized_entropy
 from .model import (
-    CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION_TRAINER,
     AdaptModel,
     CheckpointError,
     GradientSet,
     backward,
+    checkpoint_writer,
     forward,
+    read_array,
+    read_exact,
     read_header,
     read_model_tensors,
     sgd_step,
+    write_arrays,
 )
 from .objective import (
     EmaState,
@@ -177,7 +179,7 @@ def open_set_split(predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = predictions.shape[0]
     if n < 2:
         raise ConfigError(f"open-set split needs at least 2 samples, got {n}")
-    entropies = np.array([normalized_entropy(row) for row in predictions])
+    entropies = normalized_entropy(predictions)
     lo, hi = float(entropies.min()), float(entropies.max())
     if lo == hi:
         return np.arange(n, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -400,36 +402,16 @@ def adapt(
 
 def save_checkpoint(state: TrainerState, path: str | Path) -> None:
     """Version-2 checkpoint: model tensors plus full trainer state, atomic."""
-    model = state.model
     n = state.bank.features.shape[0]
     h = state.clusters.shape[1]
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION_TRAINER))
-        fh.write(struct.pack("<III", model.dim, model.d_z, model.class_count))
-        for t in model.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    with checkpoint_writer(path, CHECKPOINT_VERSION_TRAINER, state.model) as fh:
         fh.write(struct.pack("<IIqq", n, h, state.iteration, state.refreshed_at))
-        for t in state.velocity.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.ema.q, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.ema.last_update_iter, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(state.bank.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.bank.predictions, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.clusters, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(state.known_mask, dtype="u1").tobytes())
-    os.replace(tmp, path)
-
-
-def _read_array(fh, dtype, shape, what: str) -> np.ndarray:
-    count = int(np.prod(shape))
-    itemsize = np.dtype(dtype).itemsize
-    buf = fh.read(count * itemsize)
-    if len(buf) != count * itemsize:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
+        write_arrays(fh, state.velocity.tensors())
+        write_arrays(fh, [state.ema.q])
+        write_arrays(fh, [state.ema.last_update_iter], "<i8")
+        write_arrays(fh, [state.bank.features, state.bank.predictions])
+        write_arrays(fh, [state.clusters], "<i8")
+        write_arrays(fh, [state.known_mask], "u1")
 
 
 def load_checkpoint(path: str | Path) -> TrainerState:
@@ -442,22 +424,19 @@ def load_checkpoint(path: str | Path) -> TrainerState:
                 f"{CHECKPOINT_VERSION_TRAINER}"
             )
         model = read_model_tensors(fh, d, d_z, c)
-        head = fh.read(struct.calcsize("<IIqq"))
-        if len(head) != struct.calcsize("<IIqq"):
-            raise CheckpointError("truncated checkpoint while reading trainer header")
+        head = read_exact(fh, struct.calcsize("<IIqq"), "trainer header")
         n, h, iteration, refreshed_at = struct.unpack("<IIqq", head)
         shapes = [(d, d_z), (d_z,), (d_z, c), (c,)]
         velocity = GradientSet(
-            *(_read_array(fh, "<f8", s, "velocity tensor") for s in shapes)
+            *(read_array(fh, "<f8", s, "velocity tensor") for s in shapes)
         )
-        q = _read_array(fh, "<f8", (n, c), "EMA state")
-        stamps = _read_array(fh, "<i8", (n,), "EMA stamps")
-        bank_feats = _read_array(fh, "<f8", (n, d_z), "bank features")
-        bank_preds = _read_array(fh, "<f8", (n, c), "bank predictions")
-        clusters = _read_array(fh, "<i8", (n, h), "clusters")
-        known = _read_array(fh, "u1", (n,), "known mask").astype(bool)
-        extra = fh.read(1)
-        if extra:
+        q = read_array(fh, "<f8", (n, c), "EMA state")
+        stamps = read_array(fh, "<i8", (n,), "EMA stamps")
+        bank_feats = read_array(fh, "<f8", (n, d_z), "bank features")
+        bank_preds = read_array(fh, "<f8", (n, c), "bank predictions")
+        clusters = read_array(fh, "<i8", (n, h), "clusters")
+        known = read_array(fh, "u1", (n,), "known mask").astype(bool)
+        if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
     bank = MemoryBank(bank_feats, bank_preds, refreshed_at)
     return TrainerState(

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from hypersfda import ConfigError, EmaState
+
 
 def rng_for(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
@@ -194,6 +196,88 @@ def ref_pipeline(features: np.ndarray, predictions: np.ndarray, *, k: int,
         "compressed": compressed,
         "clusters": clusters,
     }
+
+
+# ---------------------------------------------------------------------------
+# single-sample loss terms, the oracles of the package's batch forms
+
+SQRT2 = float(np.sqrt(2.0))
+
+
+def prediction_distance(p_i: np.ndarray, p_j: np.ndarray) -> float:
+    """Euclidean distance between prediction vectors scaled by its max sqrt(2)."""
+    d = np.linalg.norm(np.asarray(p_i, float) - np.asarray(p_j, float)) / SQRT2
+    return float(min(max(d, 0.0), 1.0))
+
+
+def _weights(p_i: np.ndarray, others: np.ndarray, gamma: float) -> np.ndarray:
+    """(1 - d^gamma) against each row of `others`, treated as constants."""
+    d = np.linalg.norm(others - p_i, axis=-1) / SQRT2
+    d = np.clip(d, 0.0, 1.0)
+    return 1.0 - d ** gamma
+
+
+def adaptive_loss(
+    p_i: np.ndarray,
+    close_preds: np.ndarray,
+    background_preds: np.ndarray,
+    gamma: float,
+    lam: float,
+) -> tuple[float, float, np.ndarray]:
+    """Pull/push loss for one anchor and its gradient w.r.t. p_i.
+
+    Returns (pull, push, grad) with pull = -sum_j w_ij p_i.p_j over the
+    close set and push = lam * sum_k w_ik p_i.p_k over the background set.
+    Weights and retrieved predictions are constants under the gradient.
+    An empty close set is an error; an empty background set is a zero push.
+    """
+    if gamma <= 0:
+        raise ConfigError(f"gamma must be > 0, got {gamma}")
+    p_i = np.asarray(p_i, dtype=np.float64)
+    close_preds = np.asarray(close_preds, dtype=np.float64).reshape(-1, p_i.size)
+    if close_preds.shape[0] == 0:
+        raise ConfigError("close set A_i is empty; clusters must exist")
+    w_close = _weights(p_i, close_preds, gamma)
+    pull = -float(w_close @ (close_preds @ p_i))
+    grad = -(w_close @ close_preds)
+
+    background_preds = np.asarray(background_preds, dtype=np.float64).reshape(-1, p_i.size)
+    if background_preds.shape[0] > 0:
+        w_back = _weights(p_i, background_preds, gamma)
+        push = lam * float(w_back @ (background_preds @ p_i))
+        grad = grad + lam * (w_back @ background_preds)
+    else:
+        push = 0.0
+    return pull, push, grad
+
+
+def ema_update(state: EmaState, sample_index: int, p_current: np.ndarray,
+               delta: float, iteration: int) -> np.ndarray:
+    """q_i <- delta*q_i + (1-delta)*p_i, stamping the update iteration."""
+    if not 0 <= delta < 1:
+        raise ConfigError(f"delta must be in [0, 1), got {delta}")
+    if iteration <= state.last_update_iter[sample_index]:
+        raise ConfigError(
+            f"EMA stamp must increase: sample {sample_index} already updated at "
+            f"iteration {state.last_update_iter[sample_index]}"
+        )
+    state.q[sample_index] = delta * state.q[sample_index] + (1.0 - delta) * p_current
+    state.last_update_iter[sample_index] = iteration
+    return state.q[sample_index]
+
+
+def kl_regularizer(q_row: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """KL(q || p) with q constant, p floored at 1e-12; 0*log 0 = 0.
+
+    q need not be normalized (it starts at 0), so the value may be
+    negative early in training. Gradient w.r.t. p is -q/p.
+    """
+    q_row = np.asarray(q_row, dtype=np.float64)
+    p_safe = np.maximum(np.asarray(p, dtype=np.float64), 1e-12)
+    mask = q_row > 0
+    value = float((q_row[mask] * np.log(q_row[mask] / p_safe[mask])).sum())
+    grad = -q_row / p_safe
+    return value, grad
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from hypersfda import (
     build_hyperedges,
     build_relation_matrix,
     build_artifacts,
-    ema_update,
     EmaState,
     forward,
     gen_gaussian_domains,
@@ -53,7 +52,7 @@ from hypersfda import (
     solve_affinity,
 )
 from hypersfda.hypergraph import normalized_entropy
-from hypersfda.objective import adaptive_loss_batch, kl_regularizer_batch
+from hypersfda.objective import adaptive_loss_batch, ema_update_batch, kl_regularizer_batch
 from hypersfda.trainer import iterations_per_epoch
 
 from helpers import (
@@ -206,18 +205,21 @@ def test_criterion_3_hypergraph_invariants_and_reference():
         features = rng.standard_normal((n, d))
         predictions = rng.dirichlet(np.ones(classes), size=n)
 
-        edges = build_hyperedges(features, k, alpha)
-        assert all(e.degree == k for e in edges)
-        assert all(e.affinity[0] == 1.0 for e in edges)  # exact, pre-merge
-        assert all(np.unique(e.members()).size == k for e in edges)
-        loops = self_loop_affinities(edges, predictions)
-        assert (loops.values >= 1.0).all() and (loops.values <= np.e).all()
-        merged = merge_self_loops(edges, loops)
-        H = build_relation_matrix(merged)
+        neighbors, affinity, _ = build_hyperedges(features, k, alpha)
+        members = np.column_stack((np.arange(n), neighbors))
+        assert neighbors.shape == (n, k - 1) and affinity.shape == (n, k)  # degree k
+        assert (affinity[:, 0] == 1.0).all()  # exact, pre-merge
+        assert (neighbors != np.arange(n)[:, None]).all()  # anchor not a neighbor
+        assert (np.diff(np.sort(members, axis=1), axis=1) > 0).all()  # k distinct
+        assert np.isfinite(affinity).all() and (affinity >= 0).all()
+        loops = self_loop_affinities(neighbors, predictions)
+        assert (loops >= 1.0).all() and (loops <= np.e).all()
+        merged = merge_self_loops(neighbors, affinity, loops)
+        H = build_relation_matrix(neighbors, merged)
         assert H.nnz == k * n
-        for j, edge in enumerate(merged):
+        for j in range(n):
             support = np.sort(H.indices[H.indptr[j]:H.indptr[j + 1]])
-            assert np.array_equal(support, np.sort(edge.members()))
+            assert np.array_equal(support, np.sort(members[j]))
         checked += 1
 
         if small:
@@ -229,12 +231,10 @@ def test_criterion_3_hypergraph_invariants_and_reference():
             ref = ref_pipeline(
                 features, predictions, k=k, alpha=alpha, h=h, m_prime=m_prime
             )
-            assert np.array_equal(
-                np.stack([e.neighbors for e in arts.edges]), ref["neighbors"]
-            )
+            assert np.array_equal(arts.neighbors, ref["neighbors"])
             worst_ref = max(
                 worst_ref,
-                float(np.abs(arts.selfloops.values - ref["selfloops"]).max()),
+                float(np.abs(arts.selfloops - ref["selfloops"]).max()),
                 float(np.abs(arts.relation.todense() - ref["H"]).max()),
                 float(np.abs(arts.compressed - ref["compressed"]).max()),
             )
@@ -244,8 +244,9 @@ def test_criterion_3_hypergraph_invariants_and_reference():
     ok = checked == 100 and referenced == 20 and worst_ref <= 1e-6
     line = _report(
         "criterion 3 hypergraph-invariants", ok,
-        f"{checked} datasets (degree k, anchor coeff 1, self-loops in [1, e], "
-        f"k*n nonzeros), {referenced} reference pipelines, worst deviation "
+        f"{checked} datasets (degree k, anchor coeff 1, k distinct members, "
+        f"affinities >= 0, self-loops in [1, e], k*n nonzeros), {referenced} "
+        f"reference pipelines, worst deviation "
         f"{worst_ref:.2e} <= 1e-6, {elapsed:.1f}s",
     )
     assert ok, line
@@ -262,7 +263,7 @@ def test_criterion_4_schedule_and_ema_closed_forms():
         p = np.array([0.5, 0.3, 0.2])
         state = EmaState.initial(1, 3)
         for t in range(1, 41):
-            ema_update(state, 0, p, delta, t)
+            ema_update_batch(state, np.array([0]), p[None, :], delta, t)
             worst_ema = max(
                 worst_ema, float(np.abs(state.q[0] - (1.0 - delta**t) * p).max())
             )
@@ -363,7 +364,7 @@ def test_criterion_7_open_set_split_vs_oracle():
         known, unknown = open_set_split(predictions)
         mask = np.zeros(predictions.shape[0], dtype=bool)
         mask[known] = True
-        entropies = np.array([normalized_entropy(row) for row in predictions])
+        entropies = normalized_entropy(predictions)
         if np.array_equal(mask, exhaustive_threshold_split(entropies)):
             matched += 1
     flat = np.tile([0.3, 0.3, 0.4], (7, 1))

@@ -5,29 +5,36 @@ from hypothesis import given, strategies as st
 
 from hypersfda import (
     ConfigError,
-    Hyperedge,
-    SelfLoopSet,
     build_artifacts,
     build_hyperedges,
     build_relation_matrix,
     cluster_high_order,
-    compress_rows,
     cosine_knn,
     merge_self_loops,
-    neighbor_mean_prediction,
     normalized_entropy,
     self_loop_affinities,
     solve_affinity,
 )
-from hypersfda.hypergraph import (
-    affinity_kkt_residual,
-    affinity_objective,
-    debug_dict,
-    default_m_prime,
-    pca_rows,
+from hypersfda.hypergraph import default_m_prime, pca_rows
+
+from helpers import (
+    nnls_objective,
+    ref_kkt_residual,
+    ref_nnls_longrun,
+    ref_normalized_entropy,
+    ref_pipeline,
+    rng_for,
 )
 
-from helpers import ref_nnls_longrun, ref_pipeline, rng_for
+
+def assert_edge_invariants(neighbors, affinity, k):
+    """Degree k, anchor outside its neighbors, k distinct members, affinities >= 0."""
+    n = neighbors.shape[0]
+    assert neighbors.shape == (n, k - 1) and affinity.shape == (n, k)
+    members = np.column_stack((np.arange(n), neighbors))
+    assert (neighbors != np.arange(n)[:, None]).all()
+    assert (np.diff(np.sort(members, axis=1), axis=1) > 0).all()
+    assert np.isfinite(affinity).all() and (affinity >= 0).all()
 
 
 class TestCosineKnn:
@@ -78,7 +85,7 @@ class TestAffinitySolver:
             a, converged = solve_affinity(anchor, neighbors, alpha)
             assert (a >= 0.0).all()
             assert converged
-            assert affinity_kkt_residual(a, anchor, neighbors, alpha) <= 1e-6
+            assert ref_kkt_residual(a, anchor, neighbors, alpha) <= 1e-6
 
     def test_alpha_zero_matches_scipy_nnls(self):
         for seed in range(10):
@@ -87,7 +94,7 @@ class TestAffinitySolver:
             anchor = rng.standard_normal(8)
             a, _ = solve_affinity(anchor, neighbors, 0.0)
             ref, rnorm = scipy.optimize.nnls(neighbors.T, anchor)
-            mine = affinity_objective(a, anchor, neighbors, 0.0)
+            mine = nnls_objective(a, anchor, neighbors, 0.0)
             assert mine <= rnorm**2 + 1e-9
             assert abs(mine - rnorm**2) < 1e-6
 
@@ -99,7 +106,7 @@ class TestAffinitySolver:
             for alpha in (0.0, 2.0, 10.0):
                 a, _ = solve_affinity(anchor, neighbors, alpha)
                 _, ref_obj = ref_nnls_longrun(anchor, neighbors, alpha)
-                mine = affinity_objective(a, anchor, neighbors, alpha)
+                mine = nnls_objective(a, anchor, neighbors, alpha)
                 assert mine <= ref_obj + 1e-6
 
     def test_huge_alpha_collapses_to_zero(self):
@@ -124,14 +131,11 @@ class TestAffinitySolver:
 class TestHyperedges:
     def test_structure_and_anchor_coefficient(self):
         feats = rng_for(400).standard_normal((30, 5))
-        edges = build_hyperedges(feats, k=4, alpha=2.0)
-        assert len(edges) == 30
-        for i, e in enumerate(edges):
-            assert e.anchor == i
-            assert e.degree == 4
-            assert e.affinity[0] == 1.0
-            assert (e.affinity >= 0).all()
-            assert i not in e.neighbors
+        neighbors, affinity, converged = build_hyperedges(feats, k=4, alpha=2.0)
+        assert_edge_invariants(neighbors, affinity, 4)
+        assert neighbors.shape == (30, 3) and converged.shape == (30,)
+        assert (affinity[:, 0] == 1.0).all()
+        assert np.array_equal(neighbors, cosine_knn(feats, 3))
 
     def test_validation(self):
         feats = rng_for(401).standard_normal((10, 3))
@@ -140,15 +144,24 @@ class TestHyperedges:
         with pytest.raises(ConfigError):
             build_hyperedges(feats[:3], k=4, alpha=1.0)
 
-    def test_hyperedge_dataclass_validation(self):
-        with pytest.raises(ConfigError):
-            Hyperedge(0, np.array([1]), np.array([1.0, 0.5]), True)  # degree 2
-        with pytest.raises(ConfigError):
-            Hyperedge(0, np.array([0, 1]), np.array([1.0, 0.5, 0.5]), True)
-        with pytest.raises(ConfigError):
-            Hyperedge(0, np.array([1, 1]), np.array([1.0, 0.5, 0.5]), True)
-        with pytest.raises(ConfigError):
-            Hyperedge(0, np.array([1, 2]), np.array([1.0, -0.5, 0.5]), True)
+    def test_invariants_hold_on_tied_directions(self):
+        # repeated directions tie every similarity; each edge still has k
+        # distinct members and its anchor only in slot 0
+        base = rng_for(416).standard_normal((4, 3))
+        feats = np.vstack([base, 2.0 * base, 3.0 * base])
+        for k in (3, 5, 8):
+            neighbors, affinity, _ = build_hyperedges(feats, k=k, alpha=0.0)
+            assert_edge_invariants(neighbors, affinity, k)
+
+    def test_nonfinite_feature_row_rejected(self):
+        feats = rng_for(417).standard_normal((10, 3))
+        feats[3, 1] = np.nan
+        with pytest.raises(ConfigError, match="index 3"):
+            build_hyperedges(feats, k=4, alpha=1.0)
+        feats[3, 1] = 0.0
+        feats[6] *= 1e160  # finite, but its squared norm overflows
+        with pytest.raises(ConfigError, match="index 6"):
+            build_hyperedges(feats, k=4, alpha=1.0)
 
 
 class TestSelfLoops:
@@ -158,51 +171,60 @@ class TestSelfLoops:
         with pytest.raises(ConfigError):
             normalized_entropy(np.array([0.5, 0.6]))
 
+    def test_entropy_is_rowwise(self):
+        preds = rng_for(418).dirichlet(np.ones(5), size=20)
+        preds[3] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        got = normalized_entropy(preds)
+        assert got.shape == (20,)
+        assert np.allclose(got, [ref_normalized_entropy(row) for row in preds],
+                           rtol=0.0, atol=1e-12)
+        with pytest.raises(ConfigError):
+            normalized_entropy(np.vstack([preds, [0.5, 0.6, 0.0, 0.0, 0.0]]))
+
     def test_selfloop_range_and_formula(self):
         feats = rng_for(402).standard_normal((12, 4))
-        edges = build_hyperedges(feats, k=4, alpha=2.0)
+        neighbors, _, _ = build_hyperedges(feats, k=4, alpha=2.0)
         preds = rng_for(403).dirichlet(np.ones(3), size=12)
-        loops = self_loop_affinities(edges, preds)
-        assert (loops.values >= 1.0).all() and (loops.values <= np.e).all()
-        e0 = edges[0]
-        p_bar = preds[e0.neighbors].mean(axis=0)
-        assert loops.values[0] == pytest.approx(np.exp(normalized_entropy(p_bar)))
-        assert np.array_equal(neighbor_mean_prediction(e0, preds), p_bar)
+        loops = self_loop_affinities(neighbors, preds)
+        assert loops.shape == (12,)
+        assert (loops >= 1.0).all() and (loops <= np.e).all()
+        want = [np.exp(ref_normalized_entropy(preds[nbrs].mean(axis=0)))
+                for nbrs in neighbors]
+        assert loops == pytest.approx(want)
 
-    def test_selfloopset_validates_range(self):
-        with pytest.raises(ConfigError):
-            SelfLoopSet(np.array([0.5]))
-        with pytest.raises(ConfigError):
-            SelfLoopSet(np.array([np.e + 0.01]))
+    def test_selfloop_range_endpoints(self):
+        # one-hot neighborhoods give exactly 1, uniform ones exactly e
+        neighbors = np.array([[1, 2], [0, 2], [0, 1], [4, 5], [3, 5], [3, 4]])
+        preds = np.vstack([np.tile([0.0, 1.0], (3, 1)), np.full((3, 2), 0.5)])
+        loops = self_loop_affinities(neighbors, preds)
+        assert (loops[:3] == 1.0).all()
+        assert loops[3:] == pytest.approx(np.e, rel=1e-15)
 
     def test_merge_adds_member_own_loop(self):
-        edges = [
-            Hyperedge(0, np.array([1, 2]), np.array([1.0, 0.3, 0.2]), True),
-            Hyperedge(1, np.array([0, 2]), np.array([1.0, 0.4, 0.1]), True),
-            Hyperedge(2, np.array([0, 1]), np.array([1.0, 0.6, 0.5]), True),
-        ]
-        loops = SelfLoopSet(np.array([1.1, 1.5, 2.0]))
-        merged = merge_self_loops(edges, loops)
-        assert np.allclose(merged[0].affinity, [1.0 + 1.1, 0.3 + 1.5, 0.2 + 2.0])
-        assert np.allclose(merged[1].affinity, [1.0 + 1.5, 0.4 + 1.1, 0.1 + 2.0])
+        neighbors = np.array([[1, 2], [0, 2], [0, 1]])
+        affinity = np.array([[1.0, 0.3, 0.2], [1.0, 0.4, 0.1], [1.0, 0.6, 0.5]])
+        loops = np.array([1.1, 1.5, 2.0])
+        merged = merge_self_loops(neighbors, affinity, loops)
+        assert np.allclose(merged[0], [1.0 + 1.1, 0.3 + 1.5, 0.2 + 2.0])
+        assert np.allclose(merged[1], [1.0 + 1.5, 0.4 + 1.1, 0.1 + 2.0])
         # originals untouched
-        assert np.allclose(edges[0].affinity, [1.0, 0.3, 0.2])
+        assert np.allclose(affinity[0], [1.0, 0.3, 0.2])
 
 
 class TestRelationMatrix:
     def test_sparsity_pattern(self):
         feats = rng_for(404).standard_normal((25, 4))
         preds = rng_for(405).dirichlet(np.ones(4), size=25)
-        edges = build_hyperedges(feats, k=5, alpha=2.0)
-        loops = self_loop_affinities(edges, preds)
-        H = build_relation_matrix(merge_self_loops(edges, loops))
+        neighbors, affinity, _ = build_hyperedges(feats, k=5, alpha=2.0)
+        loops = self_loop_affinities(neighbors, preds)
+        H = build_relation_matrix(neighbors, merge_self_loops(neighbors, affinity, loops))
         assert H.shape == (25, 25)
         assert H.nnz == 5 * 25
         dense = H.toarray()
-        for j, e in enumerate(edges):
-            members = set(e.members().tolist())
+        for j in range(25):
+            members = {j, *neighbors[j].tolist()}
             assert set(np.nonzero(dense[:, j])[0].tolist()) == members
-            assert dense[j, j] == pytest.approx(1.0 + loops.values[j])
+            assert dense[j, j] == pytest.approx(1.0 + loops[j])
 
     def test_matches_straightline_reference(self):
         feats = rng_for(406).standard_normal((9, 4))
@@ -285,27 +307,24 @@ class TestFullPipeline:
                               seed=seed, use_self_loops=use_loops)
         ref = ref_pipeline(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
                            use_self_loops=use_loops)
-        for e, ref_nbrs, ref_aff in zip(art.edges, ref["neighbors"],
-                                        ref["affinities"]):
-            assert e.neighbors.tolist() == ref_nbrs.tolist()
+        assert np.array_equal(art.neighbors, ref["neighbors"])
         if use_loops:
-            assert np.abs(art.selfloops.values - ref["selfloops"]).max() < 1e-6
+            assert np.abs(art.selfloops - ref["selfloops"]).max() < 1e-6
+        else:
+            assert art.selfloops is None
         assert np.abs(art.relation.toarray() - ref["H"]).max() < 1e-6
         assert np.abs(art.compressed - ref["compressed"]).max() < 1e-6
         assert np.array_equal(art.clusters, ref["clusters"])
 
-    def test_debug_dict_is_json_ready(self):
-        import json
-        feats = rng_for(413).standard_normal((8, 3))
-        preds = rng_for(414).dirichlet(np.ones(3), size=8)
+    def test_artifacts_carry_the_merged_arrays(self):
+        feats = rng_for(413).standard_normal((12, 3))
+        preds = rng_for(414).dirichlet(np.ones(3), size=12)
         art = build_artifacts(feats, preds, k=4, alpha=2.0, h=2, m_prime=None, seed=0)
-        blob = json.dumps(debug_dict(art))
-        assert '"nodes": 8' in blob
-
-    def test_compress_rows_matches_pca(self):
-        feats = rng_for(415).standard_normal((15, 4))
-        edges = build_hyperedges(feats, k=4, alpha=1.0)
-        H = build_relation_matrix(edges)
-        a = compress_rows(H, 6, seed=2)
-        b = pca_rows(H, 6, seed=2)[0]
-        assert np.array_equal(a, b)
+        neighbors, affinity, converged = build_hyperedges(feats, k=4, alpha=2.0)
+        loops = self_loop_affinities(neighbors, preds)
+        assert np.array_equal(art.neighbors, neighbors)
+        assert np.array_equal(art.converged, converged) and converged.all()
+        assert np.array_equal(art.selfloops, loops)
+        assert np.array_equal(art.affinity, merge_self_loops(neighbors, affinity, loops))
+        assert (art.relation != build_relation_matrix(neighbors, art.affinity)).nnz == 0
+        assert np.array_equal(art.compressed, pca_rows(art.relation, 11, seed=0)[0])

@@ -5,17 +5,22 @@ from hypothesis import given, strategies as st
 from hypersfda import ConfigError, EmaState, LossBreakdown, lambda_schedule
 from hypersfda.objective import (
     SQRT2,
-    adaptive_loss,
     adaptive_loss_batch,
-    ema_update,
     ema_update_batch,
-    kl_regularizer,
     kl_regularizer_batch,
-    prediction_distance,
     total_loss,
 )
 
-from helpers import central_difference, rng_for
+from helpers import (
+    adaptive_loss,
+    central_difference,
+    ema_update,
+    kl_regularizer,
+    prediction_distance,
+    rng_for,
+)
+
+ONLY_FIRST = np.array([0])
 
 
 def rand_simplex(rng, *shape):
@@ -83,27 +88,28 @@ class TestEmaState:
         delta = 0.9
         s = EmaState.initial(1, 3)
         for t in range(1, 26):
-            ema_update(s, 0, p, delta, t)
+            ema_update_batch(s, ONLY_FIRST, p[None, :], delta, t)
             assert np.abs(s.q[0] - (1.0 - delta**t) * p).max() <= 1e-12
 
     def test_update_returns_new_row_and_stamps(self):
         s = EmaState.initial(2, 2)
-        out = ema_update(s, 1, np.array([0.25, 0.75]), 0.6, 0)
-        assert np.allclose(out, 0.4 * np.array([0.25, 0.75]))
+        out = ema_update_batch(s, np.array([1]), np.array([[0.25, 0.75]]), 0.6, 0)
+        assert np.allclose(out, 0.4 * np.array([[0.25, 0.75]]))
         assert s.last_update_iter.tolist() == [-1, 0]
 
     def test_stamp_must_strictly_increase(self):
         s = EmaState.initial(1, 2)
-        ema_update(s, 0, np.array([0.5, 0.5]), 0.9, 3)
+        p = np.array([[0.5, 0.5]])
+        ema_update_batch(s, ONLY_FIRST, p, 0.9, 3)
         with pytest.raises(ConfigError):
-            ema_update(s, 0, np.array([0.5, 0.5]), 0.9, 3)
-        ema_update(s, 0, np.array([0.5, 0.5]), 0.9, 4)
+            ema_update_batch(s, ONLY_FIRST, p, 0.9, 3)
+        ema_update_batch(s, ONLY_FIRST, p, 0.9, 4)
 
     @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5])
     def test_rejects_bad_delta(self, delta):
         s = EmaState.initial(1, 2)
         with pytest.raises(ConfigError):
-            ema_update(s, 0, np.array([0.5, 0.5]), delta, 0)
+            ema_update_batch(s, ONLY_FIRST, np.array([[0.5, 0.5]]), delta, 0)
 
     def test_batch_matches_single_updates(self):
         rng = rng_for(72)
@@ -134,10 +140,14 @@ class TestAdaptiveLoss:
         gamma, lam = 2.0, 0.5
         w_a = 1.0 - (np.linalg.norm(p_i - close[0]) / SQRT2) ** gamma
         w_b = 1.0 - (np.linalg.norm(p_i - back[0]) / SQRT2) ** gamma
-        pull, push, grad = adaptive_loss(p_i, close, back, gamma, lam)
-        assert abs(pull - (-w_a * close[0] @ p_i)) <= 1e-15
-        assert abs(push - lam * w_b * back[0] @ p_i) <= 1e-15
-        assert np.abs(grad - (-w_a * close[0] + lam * w_b * back[0])).max() <= 1e-15
+        # batch row 1 is anchor 0's in-batch background
+        p_live = np.stack([p_i, back[0]])
+        mask = np.array([[False, True], [False, False]])
+        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close, close]), mask,
+                                               gamma, lam)
+        assert abs(pull[0] - (-w_a * close[0] @ p_i)) <= 1e-15
+        assert abs(push[0] - lam * w_b * back[0] @ p_i) <= 1e-15
+        assert np.abs(grad[0] - (-w_a * close[0] + lam * w_b * back[0])).max() <= 1e-15
 
     def test_loss_is_linear_in_anchor_given_weights(self):
         # with weights held constant the loss is grad . p_i exactly
@@ -145,8 +155,11 @@ class TestAdaptiveLoss:
         p_i = rand_simplex(rng, 5)
         close = rand_simplex(rng, 4, 5)
         back = rand_simplex(rng, 6, 5)
-        pull, push, grad = adaptive_loss(p_i, close, back, 1.5, 0.7)
-        assert abs((pull + push) - grad @ p_i) <= 1e-12
+        p_live = np.vstack([p_i, back])
+        mask = np.zeros((7, 7), dtype=bool)
+        mask[0, 1:] = True
+        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close] * 7), mask, 1.5, 0.7)
+        assert abs((pull[0] + push[0]) - grad[0] @ p_i) <= 1e-12
 
     def test_empty_close_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,20 +169,25 @@ class TestAdaptiveLoss:
         rng = rng_for(74)
         p_i = rand_simplex(rng, 3)
         close = rand_simplex(rng, 2, 3)
-        pull, push, grad = adaptive_loss(p_i, close, np.empty((0, 3)), 2.0, 1.0)
-        assert push == 0.0
-        only_pull, _, grad_pull = adaptive_loss(p_i, close, np.empty((0, 3)), 2.0, 0.0)
-        assert pull == only_pull and np.array_equal(grad, grad_pull)
+        no_background = np.zeros((1, 1), dtype=bool)
+        pull, push, grad = adaptive_loss_batch(p_i[None], close[None], no_background,
+                                               2.0, 1.0)
+        assert push[0] == 0.0
+        only_pull, _, grad_pull = adaptive_loss_batch(p_i[None], close[None],
+                                                      no_background, 2.0, 0.0)
+        assert pull[0] == only_pull[0] and np.array_equal(grad, grad_pull)
 
     def test_identical_neighbor_gets_full_weight(self):
         p_i = np.array([0.3, 0.7])
-        pull, _, _ = adaptive_loss(p_i, p_i[None, :], np.empty((0, 2)), 3.0, 1.0)
-        assert abs(pull - (-p_i @ p_i)) <= 1e-15
+        pull, _, _ = adaptive_loss_batch(p_i[None], p_i[None, None, :],
+                                         np.zeros((1, 1), dtype=bool), 3.0, 1.0)
+        assert abs(pull[0] - (-p_i @ p_i)) <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ConfigError):
-            adaptive_loss(np.array([1.0, 0.0]), np.ones((1, 2)), np.empty((0, 2)), gamma, 1.0)
+            adaptive_loss_batch(np.array([[1.0, 0.0]]), np.ones((1, 1, 2)),
+                                np.zeros((1, 1), dtype=bool), gamma, 1.0)
 
     def test_batch_matches_single(self):
         rng = rng_for(75)
@@ -202,33 +220,33 @@ class TestKlRegularizer:
     def test_matches_manual_value(self):
         q = np.array([0.2, 0.5, 0.3])
         p = np.array([0.3, 0.3, 0.4])
-        value, grad = kl_regularizer(q, p)
-        assert abs(value - float(np.sum(q * np.log(q / p)))) <= 1e-12
-        assert np.abs(grad - (-q / p)).max() <= 1e-12
+        value, grad = kl_regularizer_batch(q[None], p[None])
+        assert abs(value[0] - float(np.sum(q * np.log(q / p)))) <= 1e-12
+        assert np.abs(grad[0] - (-q / p)).max() <= 1e-12
 
     def test_zero_q_contributes_nothing(self):
-        value, grad = kl_regularizer(np.zeros(3), np.array([0.2, 0.3, 0.5]))
-        assert value == 0.0 and not grad.any()
+        value, grad = kl_regularizer_batch(np.zeros((1, 3)), np.array([[0.2, 0.3, 0.5]]))
+        assert value[0] == 0.0 and not grad.any()
 
     def test_floors_tiny_probabilities(self):
-        q = np.array([1.0, 0.0])
-        value, grad = kl_regularizer(q, np.array([0.0, 1.0]))
-        assert abs(value - np.log(1.0 / 1e-12)) <= 1e-9
-        assert grad[0] == -1.0 / 1e-12
+        q = np.array([[1.0, 0.0]])
+        value, grad = kl_regularizer_batch(q, np.array([[0.0, 1.0]]))
+        assert abs(value[0] - np.log(1.0 / 1e-12)) <= 1e-9
+        assert grad[0, 0] == -1.0 / 1e-12
 
     def test_gradient_matches_central_difference(self):
         rng = rng_for(77)
         q = rand_simplex(rng, 4)
         p = rand_simplex(rng, 4)
-        _, grad = kl_regularizer(q, p)
+        _, grad = kl_regularizer_batch(q[None], p[None])
         for j in range(4):
             def f(x, j=j):
                 p2 = p.copy()
                 p2[j] = x
-                return kl_regularizer(q, p2)[0]
+                return kl_regularizer_batch(q[None], p2[None])[0][0]
 
             fd = central_difference(f, p[j])
-            assert abs(grad[j] - fd) <= 1e-5 * max(1.0, abs(fd))
+            assert abs(grad[0, j] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_batch_matches_single_rows(self):
         rng = rng_for(78)
