@@ -29,7 +29,6 @@ from .hypergraph import (
     merge_self_loops,
     normalized_entropy,
     self_loop_affinities,
-    solve_affinity,
 )
 from .model import (
     AdaptModel,
@@ -106,6 +105,5 @@ __all__ = [
     "save_model",
     "self_loop_affinities",
     "sgd_step",
-    "solve_affinity",
     "total_loss",
 ]

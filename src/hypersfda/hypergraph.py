@@ -17,6 +17,7 @@ here is pure: no input is modified.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +31,49 @@ SOLVER_KKT_TOL = 1e-6
 PCA_TOL = 1e-8
 PCA_MAX_ITER = 5000
 ACTIVE_TOL = 1e-10
+NEIGHBOR_BLOCK = 64
+
+
+def _nearest(points: np.ndarray, distances: Callable[[int, int], np.ndarray],
+             k: int) -> np.ndarray:
+    """Indices of each row's k nearest other rows: the one neighbor search.
+
+    distances(start, stop) returns the (stop - start, n) block of distances
+    from rows start..stop-1 to every row; smaller is nearer. Self is
+    excluded. Equal rows of points tie exactly: each duplicate column takes
+    the distance of its lowest-index twin. Ties resolve to the lower index.
+    Returns an (n, k) integer matrix ordered by increasing distance. At most
+    NEIGHBOR_BLOCK rows of distances are held at a time, so memory is
+    O(NEIGHBOR_BLOCK * n).
+    """
+    n = points.shape[0]
+    if not 1 <= k < n:
+        raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
+    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    twin = first[inverse.ravel()]
+    dup = np.flatnonzero(twin != np.arange(n))
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, NEIGHBOR_BLOCK):
+        stop = min(start + NEIGHBOR_BLOCK, n)
+        d = distances(start, stop)
+        d[:, dup] = d[:, twin[dup]]
+        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return out
 
 
 def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
-    """Indices of each row's k-1 most cosine-similar other rows.
+    """Each row's k-1 most cosine-similar other rows, by decreasing similarity.
 
-    Brute force over all pairs; ties broken by lower index. Returns an
-    (n, k-1) integer matrix ordered by decreasing similarity.
+    _nearest over the unit-norm rows; every row must have nonzero norm.
     """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    if not 1 <= k_minus_1 < n:
-        raise ConfigError(f"need 1 <= k_minus_1 < n, got k_minus_1={k_minus_1}, n={n}")
     norms = np.linalg.norm(features, axis=1)
     zero_rows = np.flatnonzero(norms == 0)
     if zero_rows.size:
         raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
     unit = features / norms[:, None]
-    sim = unit @ unit.T
-    np.fill_diagonal(sim, -np.inf)
-    # stable sort keeps equal similarities in ascending index order
-    order = np.argsort(-sim, axis=1, kind="stable")
-    return order[:, :k_minus_1].astype(np.int64)
+    return _nearest(unit, lambda start, stop: -(unit[start:stop] @ unit.T), k_minus_1)
 
 
 def _batch_kkt_residual(a: np.ndarray, grad_smooth: np.ndarray,
@@ -139,21 +161,6 @@ def solve_affinity_batch(
         if converged.all():
             break
     return a, converged
-
-
-def solve_affinity(anchor_feature: np.ndarray, neighbor_features: np.ndarray,
-                   alpha: float, **kwargs) -> tuple[np.ndarray, bool]:
-    """Single-anchor wrapper around solve_affinity_batch."""
-    anchor = np.asarray(anchor_feature, dtype=np.float64)
-    neighbors = np.asarray(neighbor_features, dtype=np.float64)
-    if anchor.ndim != 1 or neighbors.ndim != 2 or neighbors.shape[1] != anchor.size:
-        raise ConfigError(
-            f"anchor shape {anchor.shape} and neighbors shape {neighbors.shape} disagree"
-        )
-    if not (np.isfinite(anchor).all() and np.isfinite(neighbors).all()):
-        raise ConfigError("affinity solve requires finite inputs")
-    a, flags = solve_affinity_batch(anchor[None, :], neighbors[None, :, :], alpha, **kwargs)
-    return a[0], bool(flags[0])
 
 
 def build_hyperedges(features: np.ndarray, k: int,
@@ -293,27 +300,18 @@ def default_m_prime(n: int) -> int:
 
 
 def cluster_high_order(compressed: np.ndarray, h: int) -> np.ndarray:
-    """Each row's h nearest rows by Euclidean distance, self excluded.
+    """Each row's h nearest rows by Euclidean distance, through _nearest.
 
-    Distances use explicit row differences so exact duplicates tie exactly;
-    ties resolve to the lower index. Returns an (n, h) index matrix ordered
-    by increasing distance.
+    Distances use explicit row differences. Returns an (n, h) index matrix
+    ordered by increasing distance.
     """
     compressed = np.asarray(compressed, dtype=np.float64)
-    n = compressed.shape[0]
-    if not 1 <= h < n:
-        raise ConfigError(f"need 1 <= h < n, got h={h}, n={n}")
-    out = np.empty((n, h), dtype=np.int64)
-    chunk = max(1, min(64, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+
+    def distances(start: int, stop: int) -> np.ndarray:
         diff = compressed[None, :, :] - compressed[start:stop, None, :]
-        d2 = np.einsum("cnd,cnd->cn", diff, diff)
-        for local, i in enumerate(range(start, stop)):
-            d2[local, i] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :h]
-    return out
+        return np.einsum("cnd,cnd->cn", diff, diff)
+
+    return _nearest(compressed, distances, h)
 
 
 @dataclass(frozen=True)

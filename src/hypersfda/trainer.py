@@ -63,7 +63,6 @@ class MemoryBank:
 
     features: np.ndarray
     predictions: np.ndarray
-    refreshed_at: int
 
     def __post_init__(self) -> None:
         if self.features.shape[0] != self.predictions.shape[0]:
@@ -164,7 +163,7 @@ def refresh_hypergraph(
     else:
         artifacts = None
         clusters = cosine_knn(z, cfg.h)
-    bank = MemoryBank(features=z, predictions=p, refreshed_at=0)
+    bank = MemoryBank(features=z, predictions=p)
     return artifacts, bank, clusters
 
 
@@ -242,13 +241,15 @@ def evaluate(
     )
 
 
-def _compute_known_mask(predictions: np.ndarray, cfg: AdaptConfig, n: int) -> np.ndarray:
+def _refresh(model: AdaptModel, target: EmbeddingDataset,
+             cfg: AdaptConfig) -> tuple[MemoryBank, np.ndarray, np.ndarray]:
+    """refresh_hypergraph, then the open-set known mask: (bank, clusters, known_mask)."""
+    _, bank, clusters = refresh_hypergraph(model, target, cfg)
     if not cfg.open_set:
-        return np.ones(n, dtype=bool)
-    known, _ = open_set_split(predictions)
-    mask = np.zeros(n, dtype=bool)
-    mask[known] = True
-    return mask
+        return bank, clusters, np.ones(target.n, dtype=bool)
+    known_mask = np.zeros(target.n, dtype=bool)
+    known_mask[open_set_split(bank.predictions)[0]] = True
+    return bank, clusters, known_mask
 
 
 def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
@@ -293,8 +294,7 @@ def adapt(
         state = resume_from
         model = state.model
     else:
-        _, bank, clusters = refresh_hypergraph(model, target, cfg)
-        known_mask = _compute_known_mask(bank.predictions, cfg, n)
+        bank, clusters, known_mask = _refresh(model, target, cfg)
         state = TrainerState(
             model=model,
             velocity=GradientSet.zeros_like(model),
@@ -317,12 +317,8 @@ def adapt(
         # iteration 0's refresh happens at state construction; afterwards a
         # refresh is due whenever t hits the interval and was not already done
         if t % cfg.t_in == 0 and t != state.refreshed_at:
-            _, bank, clusters = refresh_hypergraph(state.model, target, cfg)
-            bank.refreshed_at = t
-            state.bank = bank
-            state.clusters = clusters
+            state.bank, state.clusters, state.known_mask = _refresh(state.model, target, cfg)
             state.refreshed_at = t
-            state.known_mask = _compute_known_mask(bank.predictions, cfg, n)
 
         epoch = t // per_epoch
         pos = t % per_epoch
@@ -330,8 +326,8 @@ def adapt(
         batch = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
         batch = batch[state.known_mask[batch]]
 
+        lam = lambda_schedule(t, max_iter, cfg.beta)
         if batch.size > 0:
-            lam = lambda_schedule(t, max_iter, cfg.beta)
             x = target.features[batch]
             # captured so an abort can rewind the in-place EMA update and
             # checkpoint the exact pre-iteration state
@@ -368,7 +364,6 @@ def adapt(
             state.bank.features[batch] = knn_safe_features(z_post)
             state.bank.predictions[batch] = p_post
         else:
-            lam = lambda_schedule(t, max_iter, cfg.beta)
             breakdown = total_loss(
                 np.zeros(0), np.zeros(0), np.zeros(0), cfg.eta, lam
             )
@@ -438,7 +433,7 @@ def load_checkpoint(path: str | Path) -> TrainerState:
         known = read_array(fh, "u1", (n,), "known mask").astype(bool)
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
-    bank = MemoryBank(bank_feats, bank_preds, refreshed_at)
+    bank = MemoryBank(bank_feats, bank_preds)
     return TrainerState(
         model=model,
         velocity=velocity,

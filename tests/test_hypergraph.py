@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -13,12 +15,12 @@ from hypersfda import (
     merge_self_loops,
     normalized_entropy,
     self_loop_affinities,
-    solve_affinity,
 )
-from hypersfda.hypergraph import default_m_prime, pca_rows
+from hypersfda.hypergraph import default_m_prime, pca_rows, solve_affinity_batch
 
 from helpers import (
     nnls_objective,
+    ref_cosine_knn,
     ref_kkt_residual,
     ref_nnls_longrun,
     ref_normalized_entropy,
@@ -59,6 +61,20 @@ class TestCosineKnn:
         feats = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
         idx = cosine_knn(feats, 2)
         assert idx[0].tolist() == [1, 2]
+        # a copied row must tie its original exactly, not by BLAS rounding
+        feats = np.random.default_rng(0).standard_normal((100, 16))
+        feats[99] = feats[0]
+        assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5))
+
+    def test_memory_is_blockwise(self):
+        feats = rng_for(419).standard_normal((2000, 16))
+        tracemalloc.start()
+        try:
+            cosine_knn(feats, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # one n x n float64 matrix alone is 32 MB
 
     def test_zero_norm_row_names_index(self):
         feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -82,7 +98,7 @@ class TestAffinitySolver:
             alpha = (0.0, 2.0, 10.0)[index % 3]
             neighbors = rng.standard_normal((k1, dz))
             anchor = rng.standard_normal(dz)
-            a, converged = solve_affinity(anchor, neighbors, alpha)
+            (a,), (converged,) = solve_affinity_batch(anchor[None], neighbors[None], alpha)
             assert (a >= 0.0).all()
             assert converged
             assert ref_kkt_residual(a, anchor, neighbors, alpha) <= 1e-6
@@ -92,7 +108,7 @@ class TestAffinitySolver:
             rng = rng_for(301, seed)
             neighbors = rng.standard_normal((5, 8))
             anchor = rng.standard_normal(8)
-            a, _ = solve_affinity(anchor, neighbors, 0.0)
+            (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], 0.0)
             ref, rnorm = scipy.optimize.nnls(neighbors.T, anchor)
             mine = nnls_objective(a, anchor, neighbors, 0.0)
             assert mine <= rnorm**2 + 1e-9
@@ -104,7 +120,7 @@ class TestAffinitySolver:
             neighbors = rng.standard_normal((4, 6))
             anchor = 0.7 * neighbors[0] + 0.2 * neighbors[2] + 0.05 * rng.standard_normal(6)
             for alpha in (0.0, 2.0, 10.0):
-                a, _ = solve_affinity(anchor, neighbors, alpha)
+                (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
                 _, ref_obj = ref_nnls_longrun(anchor, neighbors, alpha)
                 mine = nnls_objective(a, anchor, neighbors, alpha)
                 assert mine <= ref_obj + 1e-6
@@ -113,19 +129,19 @@ class TestAffinitySolver:
         rng = rng_for(303)
         neighbors = rng.standard_normal((4, 5))
         anchor = 0.1 * neighbors[1]
-        a, converged = solve_affinity(anchor, neighbors, 1e6)
+        (a,), (converged,) = solve_affinity_batch(anchor[None], neighbors[None], 1e6)
         assert converged and np.array_equal(a, np.zeros(4))
 
     def test_exact_reconstruction_when_anchor_in_span(self):
         rng = rng_for(304)
         neighbors = rng.standard_normal((3, 7))
         anchor = 1.5 * neighbors[0] + 0.5 * neighbors[2]
-        a, _ = solve_affinity(anchor, neighbors, 0.0)
+        (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], 0.0)
         assert np.abs(a - [1.5, 0.0, 0.5]).max() < 1e-5
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ConfigError):
-            solve_affinity(np.ones(3), np.ones((2, 3)), -1.0)
+            solve_affinity_batch(np.ones((1, 3)), np.ones((1, 2, 3)), -1.0)
 
 
 class TestHyperedges:
@@ -276,13 +292,18 @@ class TestPcaRows:
 
 class TestClustering:
     def test_matches_bruteforce(self):
-        comp = rng_for(411).standard_normal((40, 6))
-        got = cluster_high_order(comp, 4)
-        for i in range(40):
-            d2 = ((comp - comp[i]) ** 2).sum(axis=1)
-            d2[i] = np.inf
-            want = np.argsort(d2, kind="stable")[:4]
-            assert got[i].tolist() == want.tolist()
+        # the second case spans three row blocks, with copies of row 3 on
+        # both sides of a block edge
+        dup = np.random.default_rng(1).standard_normal((150, 6))
+        dup[[70, 149]] = dup[3]
+        for comp in (rng_for(411).standard_normal((40, 6)), dup):
+            n = comp.shape[0]
+            got = cluster_high_order(comp, 4)
+            for i in range(n):
+                d2 = ((comp - comp[i]) ** 2).sum(axis=1)
+                d2[i] = np.inf
+                want = np.argsort(d2, kind="stable")[:4]
+                assert got[i].tolist() == want.tolist()
 
     def test_duplicate_rows_tie_to_lower_index(self):
         comp = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])

@@ -180,7 +180,7 @@ class TestEvaluate:
     def test_agreement_reads_bank_predictions(self):
         model, data = axis_separated_setup([0, 0, 1, 1])
         z, p = forward(model, data.features)
-        bank = MemoryBank(z.copy(), p[[2, 3, 0, 1]].copy(), refreshed_at=0)
+        bank = MemoryBank(z.copy(), p[[2, 3, 0, 1]].copy())
         rec = evaluate(model, data, bank, h=1)
         assert rec.acc == 1.0  # accuracy comes from a fresh forward pass
         assert rec.neighbor_agreement == 0.0
@@ -333,7 +333,6 @@ class TestAdaptRun:
         assert np.array_equal(loaded.known_mask, state.known_mask)
         assert loaded.iteration == state.iteration
         assert loaded.refreshed_at == state.refreshed_at
-        assert loaded.bank.refreshed_at == state.refreshed_at
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         model, tgt = small_problem()
