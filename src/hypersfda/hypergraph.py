@@ -17,7 +17,6 @@ here is pure: no input is modified.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +33,19 @@ ACTIVE_TOL = 1e-10
 NEIGHBOR_BLOCK = 64
 
 
-def _nearest(points: np.ndarray, distances: Callable[[int, int], np.ndarray],
-             k: int) -> np.ndarray:
+def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
     """Indices of each row's k nearest other rows: the one neighbor search.
 
-    distances(start, stop) returns the (stop - start, n) block of distances
-    from rows start..stop-1 to every row; smaller is nearer. Self is
-    excluded. Equal rows of points tie exactly: each duplicate column takes
-    the distance of its lowest-index twin. Ties resolve to the lower index.
-    Returns an (n, k) integer matrix ordered by increasing distance. At most
-    NEIGHBOR_BLOCK rows of distances are held at a time, so memory is
-    O(NEIGHBOR_BLOCK * n).
+    The distance from row i to row j is offset[j] - 2 * points[i] . points[j];
+    smaller is nearer. A zero offset ranks by inner product (cosine
+    similarity for unit rows). The squared row norms rank by Euclidean
+    distance, since each row's values differ from ||p_i - p_j||^2 by the
+    constant ||p_i||^2; the rows must then be centred, or the form cancels
+    digits in rows far from the origin. Self is excluded. Equal rows of
+    points tie exactly: each duplicate column takes the distance of its
+    lowest-index twin. Ties resolve to the lower index. Returns an (n, k)
+    integer matrix ordered by increasing distance. At most NEIGHBOR_BLOCK
+    rows of distances are held at a time, so memory is O(NEIGHBOR_BLOCK * n).
     """
     n = points.shape[0]
     if not 1 <= k < n:
@@ -55,7 +56,7 @@ def _nearest(points: np.ndarray, distances: Callable[[int, int], np.ndarray],
     out = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, NEIGHBOR_BLOCK):
         stop = min(start + NEIGHBOR_BLOCK, n)
-        d = distances(start, stop)
+        d = offset - 2.0 * (points[start:stop] @ points.T)
         d[:, dup] = d[:, twin[dup]]
         d[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.argsort(d, axis=1, kind="stable")[:, :k]
@@ -65,7 +66,8 @@ def _nearest(points: np.ndarray, distances: Callable[[int, int], np.ndarray],
 def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
     """Each row's k-1 most cosine-similar other rows, by decreasing similarity.
 
-    _nearest over the unit-norm rows; every row must have nonzero norm.
+    _nearest over the unit-norm rows with a zero offset; every row must have
+    nonzero norm.
     """
     features = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
@@ -73,7 +75,7 @@ def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
     if zero_rows.size:
         raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
     unit = features / norms[:, None]
-    return _nearest(unit, lambda start, stop: -(unit[start:stop] @ unit.T), k_minus_1)
+    return _nearest(unit, np.zeros(unit.shape[0]), k_minus_1)
 
 
 def _batch_kkt_residual(a: np.ndarray, grad_smooth: np.ndarray,
@@ -102,9 +104,6 @@ def solve_affinity_batch(
     anchors: np.ndarray,
     neighbor_feats: np.ndarray,
     alpha: float,
-    max_iter: int = SOLVER_MAX_ITER,
-    step_tol: float = SOLVER_STEP_TOL,
-    kkt_tol: float = SOLVER_KKT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve every anchor's constrained reconstruction problem at once.
 
@@ -137,7 +136,7 @@ def solve_affinity_batch(
     a_prev = a
     t = np.ones(n)
     converged = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(SOLVER_MAX_ITER):
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / t_next
         y = a + beta[:, None] * (a - a_prev)
@@ -154,7 +153,7 @@ def solve_affinity_batch(
         change = np.abs(a_next - a).max(axis=1)
         grad = np.einsum("nij,nj->ni", gram, a_next) * 2.0 - c
         res = _batch_kkt_residual(a_next, grad, alpha)
-        converged = (change < step_tol) & (res <= kkt_tol)
+        converged = (change < SOLVER_STEP_TOL) & (res <= SOLVER_KKT_TOL)
         a_prev = a
         a = a_next
         t = t_next
@@ -237,12 +236,11 @@ def _center_matvec(H, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
     return H.T @ (H @ v) - n * mu[:, None] * (mu @ v)[None, :]
 
 
-def pca_rows(H, m_prime: int, seed: int, tol: float = PCA_TOL,
-             max_iter: int = PCA_MAX_ITER) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pca_rows(H, m_prime: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-m' principal components of the rows of H by orthogonal iteration.
 
     Deterministic: seeded random start, iterate V <- qr(C @ V) until the
-    spanned subspace moves less than tol per sweep (or stops shrinking),
+    spanned subspace moves less than PCA_TOL per sweep (or stops shrinking),
     then a Rayleigh-Ritz rotation orders components by decreasing
     eigenvalue. Sign convention: each component's largest-magnitude
     coordinate is positive. Returns (compressed rows (n, m'), components
@@ -251,11 +249,7 @@ def pca_rows(H, m_prime: int, seed: int, tol: float = PCA_TOL,
     n = H.shape[0]
     if not 1 <= m_prime < n:
         raise ConfigError(f"need 1 <= m_prime < n, got m_prime={m_prime}, n={n}")
-    if sp.issparse(H):
-        mu = np.asarray(H.mean(axis=0)).ravel()
-    else:
-        H = np.asarray(H, dtype=np.float64)
-        mu = H.mean(axis=0)
+    mu = np.asarray(H.mean(axis=0)).ravel()
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 41])))
     v, _ = np.linalg.qr(rng.standard_normal((n, m_prime)))
@@ -264,14 +258,14 @@ def pca_rows(H, m_prime: int, seed: int, tol: float = PCA_TOL,
     # several covariance applications per orthogonalization: same fixed
     # point, fewer of the QR factorizations that dominate the cost
     chain = 5
-    for _ in range(max_iter):
+    for _ in range(PCA_MAX_ITER):
         y = _center_matvec(H, mu, v)
         for _ in range(chain - 1):
             y = _center_matvec(H, mu, y)
         v_new, _ = np.linalg.qr(y)
         err = np.linalg.norm(v_new - v @ (v.T @ v_new))
         v = v_new
-        if err < tol:
+        if err < PCA_TOL:
             break
         # secondary stop: subspace error has stopped shrinking, which
         # happens when trailing eigenvalues are nearly tied and the split
@@ -302,16 +296,12 @@ def default_m_prime(n: int) -> int:
 def cluster_high_order(compressed: np.ndarray, h: int) -> np.ndarray:
     """Each row's h nearest rows by Euclidean distance, through _nearest.
 
-    Distances use explicit row differences. Returns an (n, h) index matrix
-    ordered by increasing distance.
+    Returns an (n, h) index matrix ordered by increasing distance.
     """
-    compressed = np.asarray(compressed, dtype=np.float64)
-
-    def distances(start: int, stop: int) -> np.ndarray:
-        diff = compressed[None, :, :] - compressed[start:stop, None, :]
-        return np.einsum("cnd,cnd->cn", diff, diff)
-
-    return _nearest(compressed, distances, h)
+    c = np.asarray(compressed, dtype=np.float64)
+    # centring moves no distance, and stops the offset form cancelling digits
+    c = c - c.mean(axis=0)
+    return _nearest(c, np.einsum("ij,ij->i", c, c), h)
 
 
 @dataclass(frozen=True)

@@ -119,18 +119,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(model: AdaptModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (z, p) for a batch; accepts a single vector as a 1-row batch."""
+    """Return (z, p) for a batch of rows."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.shape[1] != model.dim:
         raise ConfigError(f"input dim {x.shape[1]} does not match model dim {model.dim}")
     z = np.maximum(0.0, x @ model.W_f + model.b_f)
-    p = softmax(z @ model.W_g + model.b_g)
-    if single:
-        return z[0], p[0]
-    return z, p
+    return z, softmax(z @ model.W_g + model.b_g)
 
 
 def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarray,

@@ -67,14 +67,16 @@ class TestCosineKnn:
         assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5))
 
     def test_memory_is_blockwise(self):
-        feats = rng_for(419).standard_normal((2000, 16))
-        tracemalloc.start()
-        try:
-            cosine_knn(feats, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6  # one n x n float64 matrix alone is 32 MB
+        rng = rng_for(419)
+        feats, comp = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 64))
+        for search in (lambda: cosine_knn(feats, 5), lambda: cluster_high_order(comp, 3)):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6  # one n x n float64 matrix alone is 32 MB
 
     def test_zero_norm_row_names_index(self):
         feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -293,10 +295,11 @@ class TestPcaRows:
 class TestClustering:
     def test_matches_bruteforce(self):
         # the second case spans three row blocks, with copies of row 3 on
-        # both sides of a block edge
+        # both sides of a block edge; the third sits far from the origin
         dup = np.random.default_rng(1).standard_normal((150, 6))
         dup[[70, 149]] = dup[3]
-        for comp in (rng_for(411).standard_normal((40, 6)), dup):
+        far = np.random.default_rng(0).standard_normal((150, 6)) + 1e6
+        for comp in (rng_for(411).standard_normal((40, 6)), dup, far):
             n = comp.shape[0]
             got = cluster_high_order(comp, 4)
             for i in range(n):

@@ -54,13 +54,6 @@ class TestInitAndForward:
         assert np.allclose(p.sum(axis=1), 1.0)
         assert (p > 0).all()
 
-    def test_forward_single_vector(self):
-        m = tiny_model()
-        z, p = forward(m, np.ones(3))
-        assert z.shape == (3,) and p.shape == (3,)
-        zb, pb = forward(m, np.ones((1, 3)))
-        assert np.array_equal(z, zb[0]) and np.array_equal(p, pb[0])
-
     def test_forward_rejects_wrong_dim(self):
         with pytest.raises(ConfigError):
             forward(tiny_model(), np.ones((2, 4)))
