@@ -46,20 +46,42 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
     lowest-index twin. Ties resolve to the lower index. Returns an (n, k)
     integer matrix ordered by increasing distance. At most NEIGHBOR_BLOCK
     rows of distances are held at a time, so memory is O(NEIGHBOR_BLOCK * n).
+
+    Cost per row: O(n * d) for its distances, O(n) to partition out the k
+    smallest, and O(k log k) to order them by (distance, index). Only a row
+    whose k-th distance also occurs outside those k is fully sorted, in
+    O(n log n). points and offset must be finite: the tie test needs a
+    total order.
     """
     n = points.shape[0]
     if not 1 <= k < n:
         raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not (np.isfinite(points).all() and np.isfinite(offset).all()):
+        raise ConfigError("neighbor search needs finite points and offsets")
     _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
     twin = first[inverse.ravel()]
     dup = np.flatnonzero(twin != np.arange(n))
     out = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, NEIGHBOR_BLOCK):
         stop = min(start + NEIGHBOR_BLOCK, n)
-        d = offset - 2.0 * (points[start:stop] @ points.T)
+        # in place and bitwise equal to offset - 2.0 * (...); scaling points
+        # instead is not, as numpy sends a whole-matrix P @ P.T to syrk
+        d = points[start:stop] @ points.T
+        d *= -2.0
+        d += offset
         d[:, dup] = d[:, twin[dup]]
         d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = np.argsort(d, axis=1, kind="stable")[:, :k]
+        cand = np.argpartition(d, k - 1, axis=1)[:, :k]
+        cand.sort(axis=1)
+        vals = np.take_along_axis(d, cand, axis=1)
+        order = np.argsort(vals, axis=1, kind="stable")
+        top = np.take_along_axis(cand, order, axis=1)
+        # a k-th distance also held outside the candidates leaves their set
+        # to argpartition's choice; a full stable sort settles those rows
+        kth = vals.max(axis=1, keepdims=True)
+        tied = (d == kth).sum(axis=1) > (vals == kth).sum(axis=1)
+        top[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+        out[start:stop] = top
     return out
 
 

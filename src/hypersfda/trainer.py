@@ -291,6 +291,16 @@ def adapt(
     max_iter = cfg.epochs * per_epoch
 
     if resume_from is not None:
+        if resume_from.bank.features.shape[0] != n:
+            raise ConfigError(
+                f"checkpoint holds {resume_from.bank.features.shape[0]} target "
+                f"samples but the target has {n}"
+            )
+        if resume_from.clusters.shape[1] != cfg.h:
+            raise ConfigError(
+                f"checkpoint was adapted with h={resume_from.clusters.shape[1]} "
+                f"but the config has h={cfg.h}"
+            )
         state = resume_from
         model = state.model
     else:

@@ -110,6 +110,27 @@ def make_nnls_instance(index: int) -> tuple[np.ndarray, np.ndarray, float]:
 # straight-line hypergraph pipeline (n small, loops everywhere)
 
 
+def ref_nearest(points: np.ndarray, offset: np.ndarray, k: int, block: int) -> np.ndarray:
+    """The neighbor search by a full stable argsort of every row.
+
+    Distances are formed exactly as the package forms them, block rows at a
+    time (BLAS may round a whole-matrix product differently), so any
+    difference in the result comes from the selection alone.
+    """
+    n = points.shape[0]
+    _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
+    twin = first[inverse.ravel()]
+    dup = np.flatnonzero(twin != np.arange(n))
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        d = offset - 2.0 * (points[start:stop] @ points.T)
+        d[:, dup] = d[:, twin[dup]]
+        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[start:stop] = np.argsort(d, axis=1, kind="stable")[:, :k]
+    return out
+
+
 def ref_cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]

@@ -206,22 +206,50 @@ class TestAdapt:
         assert code == 2
         assert "dim" in capsys.readouterr().err
 
-    def test_resume_matches_uninterrupted_run(self, workspace, tmp_path):
-        full = workspace / "run"  # written by test_end_to_end_outputs
+    @pytest.fixture
+    def partial_ckpt(self, workspace, tmp_path):
         model = load_model(workspace / "source_model.ckpt")
         target = load_dataset(workspace / "target.csv")
         cfg = AdaptConfig(seed=0, k=4, h=3, m_prime=4, batch_size=32, epochs=2, t_in=2)
         _, _, state = adapt(model, target, cfg, stop_after=2)
         save_checkpoint(state, tmp_path / "partial.ckpt")
+        return tmp_path / "partial.ckpt"
+
+    def test_resume_matches_uninterrupted_run(self, workspace, partial_ckpt, tmp_path):
+        full = workspace / "run"  # written by test_end_to_end_outputs
         out = tmp_path / "resumed"
         assert run_cli(
             "adapt", "--model", workspace / "source_model.ckpt",
-            "--target", workspace / "target.csv", "--resume", tmp_path / "partial.ckpt",
+            "--target", workspace / "target.csv", "--resume", partial_ckpt,
             *ADAPT_FLAGS, "--seed", "0", "--out", out, "--quiet",
         ) == 0
         lines = (out / "metrics.jsonl").read_text().strip().splitlines()
         assert json.loads(lines[0])["iter"] == 2 and len(lines) == 2
         assert (out / "adapted.ckpt").read_bytes() == (full / "adapted.ckpt").read_bytes()
+
+    def test_resume_against_other_sample_count_is_refused(
+            self, workspace, partial_ckpt, tmp_path, capsys):
+        ds = load_dataset(workspace / "target.csv")
+        save_dataset(EmbeddingDataset(ds.features[:50], ds.labels[:50], "target",
+                                      ds.class_count), tmp_path / "short.csv")
+        code = run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", tmp_path / "short.csv", "--resume", partial_ckpt,
+            *ADAPT_FLAGS, "--seed", "0", "--out", tmp_path / "out", "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "60 target samples" in err and "Traceback" not in err
+
+    def test_resume_with_other_h_is_refused(self, workspace, partial_ckpt, tmp_path, capsys):
+        code = run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", "--resume", partial_ckpt,
+            *ADAPT_FLAGS, "--h", "2", "--seed", "0", "--out", tmp_path / "out", "--quiet",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "h=3" in err and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3_and_saves_state(self, workspace, tmp_path, capsys):

@@ -16,12 +16,19 @@ from hypersfda import (
     normalized_entropy,
     self_loop_affinities,
 )
-from hypersfda.hypergraph import default_m_prime, pca_rows, solve_affinity_batch
+from hypersfda.hypergraph import (
+    NEIGHBOR_BLOCK,
+    _nearest,
+    default_m_prime,
+    pca_rows,
+    solve_affinity_batch,
+)
 
 from helpers import (
     nnls_objective,
     ref_cosine_knn,
     ref_kkt_residual,
+    ref_nearest,
     ref_nnls_longrun,
     ref_normalized_entropy,
     ref_pipeline,
@@ -89,6 +96,52 @@ class TestCosineKnn:
             cosine_knn(feats, 0)
         with pytest.raises(ConfigError):
             cosine_knn(feats, 4)
+
+
+class TestNearest:
+    def test_matches_full_sort_reference(self):
+        rng = rng_for(431)
+        for case in range(48):
+            # one block, or several
+            n = int(rng.integers(5, NEIGHBOR_BLOCK + 1) if case % 2 else rng.integers(130, 260))
+            d = int(rng.integers(1, 9))
+            if case % 3 == 0:  # lattice values: many exact ties at the k-th distance
+                points = rng.integers(-2, 3, size=(n, d)).astype(float)
+            else:
+                points = rng.standard_normal((n, d))
+                if case % 3 == 1:  # copied rows
+                    rows = rng.integers(0, n, size=(2, n // 4))
+                    points[rows[0]] = points[rows[1]]
+            if case % 4 < 2:
+                offset = np.zeros(n)
+            else:
+                points = points - points.mean(axis=0)
+                offset = np.einsum("ij,ij->i", points, points)
+            for k in (1, n - 1, int(rng.integers(1, n))):
+                got = _nearest(points, offset, k)
+                assert np.array_equal(got, ref_nearest(points, offset, k, NEIGHBOR_BLOCK))
+
+    def test_boundary_tie_goes_to_lower_index(self):
+        # row 0's distances are the first coordinates of the others:
+        # 0, 1, 1, 0, 2. The 3rd and 4th smallest tie at 1, so only a full
+        # sort decides between rows 2 and 3, and the lower index must win.
+        points = np.array([[-0.5, 0.0], [0.0, 1.0], [1.0, 2.0], [1.0, 3.0],
+                           [0.0, 4.0], [2.0, 5.0]])
+        assert _nearest(points, np.zeros(6), 3)[0].tolist() == [1, 4, 2]
+
+    def test_nonfinite_input_rejected(self):
+        feats = rng_for(2).standard_normal((10, 3))
+        feats[4, 1] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            cosine_knn(feats, 3)
+        comp = rng_for(3).standard_normal((10, 3))
+        comp[7, 0] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            cluster_high_order(comp, 3)
+        offset = np.zeros(10)
+        offset[5] = np.inf
+        with pytest.raises(ConfigError, match="finite"):
+            _nearest(comp[:, :2], offset, 3)
 
 
 class TestAffinitySolver:
