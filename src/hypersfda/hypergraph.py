@@ -47,11 +47,14 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
     integer matrix ordered by increasing distance. At most NEIGHBOR_BLOCK
     rows of distances are held at a time, so memory is O(NEIGHBOR_BLOCK * n).
 
-    Cost per row: O(n * d) for its distances, O(n) to partition out the k
-    smallest, and O(k log k) to order them by (distance, index). Only a row
-    whose k-th distance also occurs outside those k is fully sorted, in
-    O(n log n). points and offset must be finite: the tie test needs a
-    total order.
+    Cost per row: O(n * d) for its distances and O(k * n) for k argmin
+    passes, no sort. argmin returns the first minimum, so each pass takes
+    the nearest remaining column, the lower index first on a tie. The
+    passes beat an argpartition up to k of about 30 (64 x 3000 block, one
+    thread, 2-vCPU Xeon: 0.3 against 2.0 ms at k = 9, 2.3 against 1.0-2.4
+    ms at k = 64); the default and benchmark configurations use k - 1 <= 9
+    and h = 3. points and offset must be finite; an overflowed picked
+    distance raises.
     """
     n = points.shape[0]
     if not 1 <= k < n:
@@ -70,18 +73,15 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
         d *= -2.0
         d += offset
         d[:, dup] = d[:, twin[dup]]
-        d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        cand = np.argpartition(d, k - 1, axis=1)[:, :k]
-        cand.sort(axis=1)
-        vals = np.take_along_axis(d, cand, axis=1)
-        order = np.argsort(vals, axis=1, kind="stable")
-        top = np.take_along_axis(cand, order, axis=1)
-        # a k-th distance also held outside the candidates leaves their set
-        # to argpartition's choice; a full stable sort settles those rows
-        kth = vals.max(axis=1, keepdims=True)
-        tied = (d == kth).sum(axis=1) > (vals == kth).sum(axis=1)
-        top[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-        out[start:stop] = top
+        rows = np.arange(stop - start)
+        d[rows, np.arange(start, stop)] = np.inf
+        for j in range(k):
+            col = d.argmin(axis=1)
+            # an overflowed distance could pick self or a column already taken
+            if not np.isfinite(d[rows, col]).all():
+                raise ConfigError("neighbor distances overflow")
+            out[start:stop, j] = col
+            d[rows, col] = np.inf
     return out
 
 
@@ -138,8 +138,11 @@ def solve_affinity_batch(
     that is optimal). Acceleration keeps singular Gram matrices (k-1 >
     d_z) converging to the KKT tolerance. Step size 1/L with L twice the
     largest eigenvalue of the neighbor Gram matrix, computed exactly per
-    instance. Returns (coefficients (n, k-1), converged flags (n,)); never
-    raises on non-convergence.
+    instance. An instance converges when its step is below SOLVER_STEP_TOL
+    and its KKT residual at most SOLVER_KKT_TOL; the residual is evaluated
+    only once every step is below SOLVER_STEP_TOL, and on the last sweep.
+    Returns (coefficients (n, k-1), converged flags (n,)); never raises on
+    non-convergence.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
@@ -158,7 +161,7 @@ def solve_affinity_batch(
     a_prev = a
     t = np.ones(n)
     converged = np.zeros(n, dtype=bool)
-    for _ in range(SOLVER_MAX_ITER):
+    for sweep in range(SOLVER_MAX_ITER):
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / t_next
         y = a + beta[:, None] * (a - a_prev)
@@ -173,14 +176,16 @@ def solve_affinity_batch(
         restart = np.einsum("ni,ni->n", y - a_next, a_next - a) > 0.0
         t_next = np.where(restart, 1.0, t_next)
         change = np.abs(a_next - a).max(axis=1)
-        grad = np.einsum("nij,nj->ni", gram, a_next) * 2.0 - c
-        res = _batch_kkt_residual(a_next, grad, alpha)
-        converged = (change < SOLVER_STEP_TOL) & (res <= SOLVER_KKT_TOL)
         a_prev = a
         a = a_next
         t = t_next
-        if converged.all():
-            break
+        # only then can the residual end the solve; the last sweep sets the flags
+        if (change < SOLVER_STEP_TOL).all() or sweep == SOLVER_MAX_ITER - 1:
+            grad = np.einsum("nij,nj->ni", gram, a) * 2.0 - c
+            converged = (change < SOLVER_STEP_TOL) & (
+                _batch_kkt_residual(a, grad, alpha) <= SOLVER_KKT_TOL)
+            if converged.all():
+                break
     return a, converged
 
 

@@ -12,6 +12,7 @@ state to resume bit-exactly.
 """
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass
@@ -273,9 +274,10 @@ def adapt(
     """Run the adaptation loop; returns (model, new metrics, final state).
 
     `stop_after` limits how many iterations this call executes (for
-    checkpoint/resume); `resume_from` continues a previous state under the
-    same config and target. On a non-finite loss or gradient the last good
-    state is saved to `abort_path` (when given) and TrainingAborted raises.
+    checkpoint/resume); `resume_from` continues a copy of a previous state
+    under the same config and target, leaving the caller's state as it was.
+    On a non-finite loss or gradient the last good state is saved to
+    `abort_path` (when given) and TrainingAborted raises.
     """
     n = target.n
     if model.dim != target.dim:
@@ -301,7 +303,7 @@ def adapt(
                 f"checkpoint was adapted with h={resume_from.clusters.shape[1]} "
                 f"but the config has h={cfg.h}"
             )
-        state = resume_from
+        state = copy.deepcopy(resume_from)
         model = state.model
     else:
         bank, clusters, known_mask = _refresh(model, target, cfg)

@@ -3,13 +3,16 @@
 Everything here is written straight-line (plain loops, dense linear
 algebra) so the package's vectorized/sparse/iterative code paths can be
 checked against naive but obviously-correct counterparts. Keep this module
-free of imports from hypersfda internals beyond public API types.
+free of imports from hypersfda internals beyond public API types; the one
+exception is the bitwise solver oracle, which must share the solver's
+tolerances and residual to reproduce its flags.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from hypersfda import ConfigError, EmaState
+from hypersfda.hypergraph import SOLVER_KKT_TOL, SOLVER_STEP_TOL, _batch_kkt_residual
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -84,6 +87,47 @@ def ref_kkt_residual(a: np.ndarray, anchor: np.ndarray, neighbors: np.ndarray,
     if (a == 0).any():
         worst = max(worst, float(np.maximum(-grad[a == 0], 0.0).max()))
     return worst
+
+
+def ref_solve_affinity_batch(anchors: np.ndarray, neighbor_feats: np.ndarray,
+                             alpha: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """solve_affinity_batch with the KKT residual evaluated on every sweep.
+
+    The same FISTA arithmetic, so coefficients and converged flags must
+    match the package bitwise; only the early exit differs.
+    """
+    n, k1, _ = neighbor_feats.shape
+    gram = np.einsum("nij,nkj->nik", neighbor_feats, neighbor_feats)
+    c = 2.0 * np.einsum("nij,nj->ni", neighbor_feats, anchors)
+    lam = np.linalg.eigvalsh(gram)[:, -1]
+    step = 1.0 / (2.0 * lam + 1e-12)
+    a = np.zeros((n, k1))
+    a_prev = a
+    t = np.ones(n)
+    converged = np.zeros(n, dtype=bool)
+    for _ in range(max_iter):
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_next
+        y = a + beta[:, None] * (a - a_prev)
+        grad_y = np.einsum("nij,nj->ni", gram, y) * 2.0 - c
+        u = np.maximum(0.0, y - step[:, None] * grad_y)
+        unorm = np.linalg.norm(u, axis=1)
+        scale = np.where(
+            unorm > 0, np.maximum(0.0, 1.0 - step * alpha / np.maximum(unorm, 1e-300)), 0.0
+        )
+        a_next = scale[:, None] * u
+        restart = np.einsum("ni,ni->n", y - a_next, a_next - a) > 0.0
+        t_next = np.where(restart, 1.0, t_next)
+        change = np.abs(a_next - a).max(axis=1)
+        grad = np.einsum("nij,nj->ni", gram, a_next) * 2.0 - c
+        res = _batch_kkt_residual(a_next, grad, alpha)
+        converged = (change < SOLVER_STEP_TOL) & (res <= SOLVER_KKT_TOL)
+        a_prev = a
+        a = a_next
+        t = t_next
+        if converged.all():
+            break
+    return a, converged
 
 
 def make_nnls_instance(index: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -16,8 +16,10 @@ from hypersfda import (
     normalized_entropy,
     self_loop_affinities,
 )
+from hypersfda import hypergraph
 from hypersfda.hypergraph import (
     NEIGHBOR_BLOCK,
+    SOLVER_MAX_ITER,
     _nearest,
     default_m_prime,
     pca_rows,
@@ -32,6 +34,7 @@ from helpers import (
     ref_nnls_longrun,
     ref_normalized_entropy,
     ref_pipeline,
+    ref_solve_affinity_batch,
     rng_for,
 )
 
@@ -123,11 +126,24 @@ class TestNearest:
 
     def test_boundary_tie_goes_to_lower_index(self):
         # row 0's distances are the first coordinates of the others:
-        # 0, 1, 1, 0, 2. The 3rd and 4th smallest tie at 1, so only a full
-        # sort decides between rows 2 and 3, and the lower index must win.
+        # 0, 1, 1, 0, 2. The 3rd and 4th smallest tie at 1, and the lower
+        # index, row 2, must take the last place; a partial top-k that only
+        # picks a set can hand it to row 3.
         points = np.array([[-0.5, 0.0], [0.0, 1.0], [1.0, 2.0], [1.0, 3.0],
                            [0.0, 4.0], [2.0, 5.0]])
         assert _nearest(points, np.zeros(6), 3)[0].tolist() == [1, 4, 2]
+
+    def test_all_rows_identical(self):
+        # every distance ties, so each row takes the k lowest other indices
+        n, k = 2 * NEIGHBOR_BLOCK + 3, 5
+        got = _nearest(np.ones((n, 3)), np.zeros(n), k)
+        for i in range(n):
+            assert got[i].tolist() == [j for j in range(n) if j != i][:k]
+
+    def test_overflowing_distances_rejected(self):
+        points = np.array([[1e200], [-1e200], [5e199], [-3e199], [2e199]])
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="overflow"):
+            _nearest(points, np.zeros(5), 3)
 
     def test_nonfinite_input_rejected(self):
         feats = rng_for(2).standard_normal((10, 3))
@@ -193,6 +209,33 @@ class TestAffinitySolver:
         anchor = 1.5 * neighbors[0] + 0.5 * neighbors[2]
         (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], 0.0)
         assert np.abs(a - [1.5, 0.0, 0.5]).max() < 1e-5
+
+    @pytest.mark.parametrize("max_iter", [SOLVER_MAX_ITER, 1, 3])
+    def test_matches_every_sweep_reference_bitwise(self, monkeypatch, max_iter):
+        # the residual is skipped on sweeps where some step has not stalled;
+        # coefficients and flags must not notice, including when starved.
+        # Scaled-up features make steps stall before the residual is met.
+        monkeypatch.setattr(hypergraph, "SOLVER_MAX_ITER", max_iter)
+        flags = []
+        for index in range(24):
+            rng = rng_for(305, index)
+            n, k1, dz = 12, int(rng.integers(1, 10)), int(rng.integers(2, 21))
+            scale = (1.0, 10.0)[index // 12]
+            neighbors = rng.standard_normal((n, k1, dz)) * scale
+            anchors = rng.standard_normal((n, dz)) * scale
+            if index % 2:
+                anchors = np.einsum("nk,nkd->nd", rng.uniform(0, 1.5, (n, k1)), neighbors)
+            alpha = (0.0, 2.0, 10.0)[index % 3]
+            a, converged = solve_affinity_batch(anchors, neighbors, alpha)
+            ref_a, ref_converged = ref_solve_affinity_batch(anchors, neighbors, alpha, max_iter)
+            assert a.tobytes() == ref_a.tobytes()
+            assert np.array_equal(converged, ref_converged)
+            flags.append(converged)
+        flags = np.concatenate(flags)
+        if max_iter == SOLVER_MAX_ITER:
+            assert flags.all()
+        else:
+            assert not flags.all()
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ConfigError):

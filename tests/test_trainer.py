@@ -302,6 +302,19 @@ class TestAdaptRun:
         assert np.array_equal(res_state.bank.features, full_state.bank.features)
         assert np.array_equal(res_state.bank.predictions, full_state.bank.predictions)
 
+    def test_resume_leaves_the_state_and_can_repeat(self):
+        model, tgt = small_problem()
+        cfg = AdaptConfig(seed=0, **QUICK)
+        part_model, _, part_state = adapt(model, tgt, cfg, stop_after=3)
+        first = adapt(part_model, tgt, cfg, resume_from=part_state)
+        assert part_state.iteration == 3
+        second = adapt(part_model, tgt, cfg, resume_from=part_state)
+        assert part_state.iteration == 3
+        for ta, tb in zip(first[0].tensors(), second[0].tensors()):
+            assert ta.tobytes() == tb.tobytes()
+        assert first[1] == second[1]
+        assert first[2] is not part_state
+
     def test_resume_through_checkpoint_file(self, tmp_path):
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
