@@ -1,9 +1,10 @@
 """Command-line interface: gen, pretrain, adapt, eval.
 
-Every run resolves its configuration as defaults < --config JSON < explicit
-flags, and training-style commands write a manifest recording the resolved
-configuration, inputs, and outputs before work starts, so a run can be
-reproduced from its manifest alone.
+pretrain, adapt and eval resolve their configuration as defaults < --config
+JSON < explicit flags. Each registers flags only for the AdaptConfig fields
+it reads, and AdaptConfig checks every value. Training-style commands write
+a manifest recording the resolved configuration, inputs, and outputs before
+work starts, so a run can be reproduced from its manifest alone.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime abort
 (non-finite loss during adaptation).
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AdaptConfig, ConfigError
+from .config import FIELD_TYPES, AdaptConfig, ConfigError
 from .datagen import (
     DatasetFormatError,
     ShiftSpec,
@@ -41,14 +42,14 @@ from .trainer import (
 USAGE_ERROR = 2
 RUNTIME_ABORT = 3
 
-# AdaptConfig fields exposed as adapt flags, with their CLI spellings
-_CONFIG_FLAGS = [
-    ("k", int), ("t_in", int), ("alpha", float), ("h", int), ("gamma", float),
-    ("delta", float), ("eta", float), ("beta", float), ("batch_size", int),
-    ("lr", float), ("momentum", float), ("epochs", int), ("m_prime", int),
-    ("d_z", int), ("label_smoothing", float),
-]
-_CONFIG_BOOL_FLAGS = ["open_set", "use_self_loops", "high_order"]
+# the AdaptConfig fields each command reads, registered as its flags; the
+# model comes from the checkpoint in adapt, and label smoothing belongs to
+# the pretraining loss
+_COMMAND_FIELDS = {
+    "pretrain": ("batch_size", "lr", "momentum", "d_z", "seed", "label_smoothing"),
+    "adapt": tuple(n for n in FIELD_TYPES if n not in ("d_z", "label_smoothing")),
+    "eval": ("h",),
+}
 
 
 @dataclass
@@ -77,31 +78,32 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+def _add_output(parser: argparse.ArgumentParser, out: bool = True) -> None:
+    if out:
+        parser.add_argument("--out", type=Path, default=Path("."),
+                            help="output directory (default: current directory)")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+
+def _add_config(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (AdaptConfig fields or a run manifest)")
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory (default: current directory)")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    for name in _COMMAND_FIELDS[command]:
+        kind, _ = FIELD_TYPES[name]
+        flag = f"--{name.replace('_', '-')}"
+        if kind is bool:
+            parser.add_argument(flag, default=None, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(flag, type=kind, default=None)
 
 
 def _resolve_config(args) -> AdaptConfig:
     """defaults < config file < explicit flags."""
-    values: dict = {}
-    if args.config is not None:
-        cfg_from_file = AdaptConfig.from_json(args.config)
-        values = cfg_from_file.to_dict()
-    for name, _ in _CONFIG_FLAGS:
+    values = {} if args.config is None else AdaptConfig.from_json(args.config).to_dict()
+    for name in FIELD_TYPES:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             values[name] = flag_value
-    for name in _CONFIG_BOOL_FLAGS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            values[name] = flag_value
-    if args.seed is not None:
-        values["seed"] = args.seed
     return AdaptConfig.from_dict(values)
 
 
@@ -120,18 +122,17 @@ def _build_shift(args) -> ShiftSpec:
 def cmd_gen(args) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 0
     shift = _build_shift(args)
     if args.kind == "gaussian":
         source, target = gen_gaussian_domains(
             class_count=args.classes, dim=args.dim, n_source=args.n_source,
-            n_target=args.n_target, shift=shift, seed=seed,
+            n_target=args.n_target, shift=shift, seed=args.seed,
             separation=args.separation, sigma=args.sigma,
         )
     else:
         source, target = gen_two_moons_domains(
             n_source=args.n_source, n_target=args.n_target, shift=shift,
-            seed=seed, dim=args.dim, moon_noise=args.moon_noise,
+            seed=args.seed, dim=args.dim, moon_noise=args.moon_noise,
         )
     source_path = out / "source.csv"
     target_path = out / "target.csv"
@@ -149,7 +150,7 @@ def cmd_gen(args) -> int:
         },
         inputs={},
         outputs={"source": str(source_path), "target": str(target_path)},
-        seed=seed,
+        seed=args.seed,
         started_at=_now(),
         finished_at=_now(),
     )
@@ -161,8 +162,6 @@ def cmd_gen(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     source = load_dataset(args.source)
-    if source.labels is None:
-        raise ConfigError(f"pretraining requires a labeled dataset: {args.source}")
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "source_model.ckpt"
@@ -190,10 +189,6 @@ def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     model = load_model(args.model)
     target = load_dataset(args.target)
-    if target.dim != model.dim:
-        raise ConfigError(
-            f"checkpoint expects dim {model.dim} but {args.target} has dim {target.dim}"
-        )
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     ckpt_path = out / "adapted.ckpt"
@@ -233,10 +228,7 @@ def cmd_adapt(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     model = load_model(args.model)
-    ds = load_dataset(args.data)
-    if ds.labels is None:
-        raise ConfigError(f"evaluation requires a labeled dataset: {args.data}")
-    record = evaluate(model, ds, bank=None, h=cfg.h)
+    record = evaluate(model, load_dataset(args.data), bank=None, h=cfg.h)
     print(json.dumps(record.full_dict()))
     return 0
 
@@ -250,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic source/target dataset pair")
-    _add_common(gen)
+    gen.add_argument("--seed", type=int, default=0, help="generator seed")
+    _add_output(gen)
     gen.add_argument("--kind", choices=["gaussian", "two-moons"], default="gaussian")
     gen.add_argument("--classes", type=int, default=4, help="number of classes (gaussian)")
     gen.add_argument("--dim", type=int, default=16, help="feature dimension")
@@ -271,33 +264,27 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     pre = sub.add_parser("pretrain", help="train the source model on a labeled dataset")
-    _add_common(pre)
+    _add_output(pre)
     pre.add_argument("--source", type=Path, required=True, help="labeled source CSV")
     pre.add_argument("--pretrain-epochs", type=int, default=30,
                      help="source training epochs")
-    for name, typ in _CONFIG_FLAGS:
-        pre.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+    _add_config(pre, "pretrain")
     pre.set_defaults(func=cmd_pretrain)
 
     ada = sub.add_parser("adapt", help="adapt a source model to an unlabeled target CSV")
-    _add_common(ada)
+    _add_output(ada)
     ada.add_argument("--model", type=Path, required=True, help="source checkpoint")
     ada.add_argument("--target", type=Path, required=True, help="target CSV")
     ada.add_argument("--resume", type=Path, default=None,
                      help="trainer checkpoint to resume from")
-    for name, typ in _CONFIG_FLAGS:
-        ada.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
-    for name in _CONFIG_BOOL_FLAGS:
-        ada.add_argument(f"--{name.replace('_', '-')}", default=None,
-                         action=argparse.BooleanOptionalAction)
+    _add_config(ada, "adapt")
     ada.set_defaults(func=cmd_adapt)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV")
-    _add_common(ev)
+    _add_output(ev, out=False)
     ev.add_argument("--model", type=Path, required=True, help="model checkpoint")
     ev.add_argument("--data", type=Path, required=True, help="labeled CSV")
-    for name, typ in _CONFIG_FLAGS:
-        ev.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
+    _add_config(ev, "eval")
     ev.set_defaults(func=cmd_eval)
     return parser
 

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -10,7 +12,7 @@ class ConfigError(ValueError):
     """Invalid configuration value or generator argument."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptConfig:
     """All knobs of the adaptation run, serializable for reproducibility.
 
@@ -28,6 +30,10 @@ class AdaptConfig:
     open_set     split target samples by entropy and train on the
                  low-entropy ("known") cluster only
     use_self_loops / high_order   ablation switches; both on by default
+
+    Every value is checked against its declared type (floats must also be
+    finite) and its range at construction; the object is frozen, so use
+    dataclasses.replace to change a field.
     """
 
     k: int = 6
@@ -51,57 +57,71 @@ class AdaptConfig:
     label_smoothing: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.k <= 2:
-            raise ConfigError(f"hyperedge degree k must be > 2, got {self.k}")
-        if self.t_in < 1:
-            raise ConfigError(f"refresh interval t_in must be >= 1, got {self.t_in}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.h < 1:
-            raise ConfigError(f"cluster size h must be >= 1, got {self.h}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not 0.0 <= self.delta < 1.0:
-            raise ConfigError(f"delta must lie in [0, 1), got {self.delta}")
-        if self.eta < 0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.m_prime is not None and self.m_prime < 1:
-            raise ConfigError(f"m_prime must be >= 1, got {self.m_prime}")
-        if self.d_z is not None and self.d_z < 1:
-            raise ConfigError(f"d_z must be >= 1, got {self.d_z}")
-        if not 0.0 <= self.label_smoothing < 1.0:
-            raise ConfigError(
-                f"label_smoothing must lie in [0, 1), got {self.label_smoothing}"
-            )
+        for name, (kind, optional) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not (optional and value is None or _is_kind(value, kind)):
+                raise ConfigError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
+        for name, ok, rule in (
+            ("k", self.k > 2, "> 2"),
+            ("t_in", self.t_in >= 1, ">= 1"),
+            ("alpha", self.alpha >= 0, ">= 0"),
+            ("h", self.h >= 1, ">= 1"),
+            ("gamma", self.gamma > 0, "> 0"),
+            ("delta", 0 <= self.delta < 1, "in [0, 1)"),
+            ("eta", self.eta >= 0, ">= 0"),
+            ("beta", self.beta >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr > 0, "> 0"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("m_prime", self.m_prime is None or self.m_prime >= 1, ">= 1"),
+            ("d_z", self.d_z is None or self.d_z >= 1, ">= 1"),
+            ("label_smoothing", 0 <= self.label_smoothing < 1, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(FIELD_TYPES)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "AdaptConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise ConfigError(f"config file {path} is not JSON text: {exc}") from None
         # a run manifest embeds the config under "config"
-        if "config" in data and isinstance(data["config"], dict):
+        if isinstance(data, dict) and isinstance(data.get("config"), dict):
             data = data["config"]
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} does not hold a JSON object")
         return cls.from_dict(data)
+
+
+_KIND_TEXT = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """int: any integral but bool; float: any finite real but bool; bool: bool."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+# field name -> (int, float or bool; whether None is allowed), read from the
+# annotations above; the CLI registers its flags from this table
+FIELD_TYPES = {
+    f.name: ({"int": int, "float": float, "bool": bool}[f.type.removesuffix(" | None")],
+             f.type.endswith(" | None"))
+    for f in fields(AdaptConfig)
+}

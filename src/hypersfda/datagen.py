@@ -342,7 +342,11 @@ def _parse_header(line: str) -> dict:
 
 def load_dataset(path: str | Path) -> EmbeddingDataset:
     """Parse a dataset CSV; errors carry the 1-based offending line number."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DatasetFormatError("file is not UTF-8 text", line=line) from None
     lines = text.splitlines()
     if not lines:
         raise DatasetFormatError("empty file", line=1)

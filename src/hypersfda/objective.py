@@ -77,10 +77,8 @@ def adaptive_loss_batch(
     p_live: (b, C) current predictions; close_preds: (b, h, C) retrieved
     constants; background_mask: (b, b) boolean, row i marking batch members
     of B_i. Background predictions are the detached rows of p_live.
-    Returns (pull (b,), push (b,), grad (b, C)).
+    Returns (pull (b,), push (b,), grad (b, C)). AdaptConfig checks gamma > 0.
     """
-    if gamma <= 0:
-        raise ConfigError(f"gamma must be > 0, got {gamma}")
     b, c = p_live.shape
     d_close = np.linalg.norm(close_preds - p_live[:, None, :], axis=2) / SQRT2
     w_close = 1.0 - np.clip(d_close, 0.0, 1.0) ** gamma
@@ -98,10 +96,9 @@ def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
                      delta: float, iteration: int) -> np.ndarray:
     """q_i <- delta*q_i + (1-delta)*p_i over distinct indices; returns the new rows.
 
-    Each row's update stamp `iteration` must exceed its previous one.
+    Each row's update stamp `iteration` must exceed its previous one;
+    AdaptConfig checks delta.
     """
-    if not 0 <= delta < 1:
-        raise ConfigError(f"delta must be in [0, 1), got {delta}")
     if (state.last_update_iter[indices] >= iteration).any():
         raise ConfigError("EMA stamp must strictly increase for every batch sample")
     state.q[indices] = delta * state.q[indices] + (1.0 - delta) * p_batch

@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -226,19 +226,16 @@ def evaluate(
     agree = (neighbor_labels == dataset.labels[:, None]).mean(axis=1)
     neighbor_agreement = float(agree.mean())
 
-    nearest_label = neighbor_labels[:, 0]
-    misleading = []
-    for c in range(dataset.class_count):
-        members = dataset.labels == c
-        if members.any():
-            misleading.append(float((nearest_label[members] != c).mean()))
-        else:
-            misleading.append(0.0)
+    c = dataset.class_count
+    misled = np.bincount(dataset.labels, weights=neighbor_labels[:, 0] != dataset.labels,
+                         minlength=c)
+    counts = np.bincount(dataset.labels, minlength=c)
+    misleading = np.divide(misled, counts, out=np.zeros(c), where=counts > 0)
     return MetricsRecord(
         iteration=iteration,
         acc=acc,
         neighbor_agreement=neighbor_agreement,
-        misleading_ratio=tuple(misleading),
+        misleading_ratio=tuple(misleading.tolist()),
     )
 
 
@@ -380,24 +377,9 @@ def adapt(
                 np.zeros(0), np.zeros(0), np.zeros(0), cfg.eta, lam
             )
 
-        if labeled:
-            snapshot = evaluate(state.model, target, state.bank, cfg.h, iteration=t)
-            acc, agreement, mis = (
-                snapshot.acc, snapshot.neighbor_agreement, snapshot.misleading_ratio
-            )
-        else:
-            acc, agreement, mis = None, None, None
-        record = MetricsRecord(
-            iteration=t,
-            total=breakdown.total,
-            l_ada_pull=breakdown.l_ada_pull,
-            l_ada_push=breakdown.l_ada_push,
-            l_reg=breakdown.l_reg,
-            lambda_used=breakdown.lambda_used,
-            acc=acc,
-            neighbor_agreement=agreement,
-            misleading_ratio=mis,
-        )
+        snapshot = (evaluate(state.model, target, state.bank, cfg.h) if labeled
+                    else MetricsRecord(iteration=t))
+        record = replace(snapshot, iteration=t, **vars(breakdown))
         metrics.append(record)
         state.iteration = t + 1
         executed += 1

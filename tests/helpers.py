@@ -5,9 +5,12 @@ algebra) so the package's vectorized/sparse/iterative code paths can be
 checked against naive but obviously-correct counterparts. Keep this module
 free of imports from hypersfda internals beyond public API types; the one
 exception is the bitwise solver oracle, which must share the solver's
-tolerances and residual to reproduce its flags.
+tolerances and residual to reproduce its flags. `cli_options` lists the
+flags a subcommand registers, for the CLI and API-surface tests.
 """
 from __future__ import annotations
+
+import argparse
 
 import numpy as np
 
@@ -434,3 +437,17 @@ def central_difference(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[idx] = orig
         gflat[idx] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+# ---------------------------------------------------------------------------
+# CLI introspection
+
+
+def cli_options(command: str) -> set[str]:
+    """The long options of one hypersfda subcommand, --help excluded."""
+    from hypersfda.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)}

@@ -15,6 +15,8 @@ from hypersfda import (
 )
 from hypersfda.cli import main
 
+from helpers import cli_options
+
 STREAM_KEYS = {
     "iter", "total", "l_ada_pull", "l_ada_push", "l_reg", "lambda",
     "acc", "neighbor_agreement",
@@ -326,3 +328,78 @@ class TestParser:
         )
         assert code == 2
         assert "k must be > 2" in capsys.readouterr().err
+
+
+class TestOptions:
+    """Each command registers only the settings it reads."""
+
+    OPTIONS = {
+        "gen": {"--seed", "--out", "--quiet", "--kind", "--classes", "--dim",
+                "--n-source", "--n-target", "--rotate-deg", "--translate",
+                "--noise-sigma", "--shift-seed", "--separation", "--sigma",
+                "--moon-noise"},
+        "pretrain": {"--out", "--quiet", "--source", "--pretrain-epochs", "--config",
+                     "--batch-size", "--lr", "--momentum", "--d-z", "--seed",
+                     "--label-smoothing"},
+        "adapt": {"--out", "--quiet", "--model", "--target", "--resume", "--config",
+                  "--k", "--t-in", "--alpha", "--h", "--gamma", "--delta", "--eta",
+                  "--beta", "--batch-size", "--lr", "--momentum", "--epochs",
+                  "--m-prime", "--seed", "--open-set", "--use-self-loops",
+                  "--high-order"},
+        "eval": {"--quiet", "--model", "--data", "--config", "--h"},
+    }
+
+    @pytest.mark.parametrize("command", ["gen", "pretrain", "adapt", "eval"])
+    def test_option_set(self, command):
+        assert cli_options(command) == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--source", "s.csv", "--epochs", "200"],
+        ["pretrain", "--source", "s.csv", "--k", "9"],
+        ["adapt", "--model", "m", "--target", "t", "--d-z", "3"],
+        ["adapt", "--model", "m", "--target", "t", "--label-smoothing", "0.5"],
+        ["eval", "--model", "m", "--data", "d", "--k", "4"],
+        ["eval", "--model", "m", "--data", "d", "--seed", "1"],
+        ["gen", "--config", "x.json"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run_cli(*argv)
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    """Every malformed setting or input file exits 2 with an error line."""
+
+    def adapt(self, workspace, tmp_path, *extra):
+        return run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", *ADAPT_FLAGS, *extra,
+            "--out", tmp_path / "out", "--quiet",
+        )
+
+    @pytest.mark.parametrize("payload", [
+        b'{"k": "four"}', b'{"h": true}', b'{"k": 4.5}', b'{"epochs": 1.5}',
+        b'{"open_set": "no"}', b'{"lr": NaN}', b'{"alpha": Infinity}', b'{"k": 4',
+        b'{"k": "\xff"}',
+    ])
+    def test_bad_config_file(self, workspace, tmp_path, capsys, payload):
+        (tmp_path / "cfg.json").write_bytes(payload)
+        assert self.adapt(workspace, tmp_path, "--config", tmp_path / "cfg.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--alpha", "inf")])
+    def test_non_finite_flag(self, workspace, tmp_path, capsys, flag, value):
+        assert self.adapt(workspace, tmp_path, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:]} must be a finite number" in err and "Traceback" not in err
+
+    def test_binary_file_as_target(self, workspace, tmp_path, capsys):
+        assert run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "source_model.ckpt", "--out", tmp_path, "--quiet",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and "Traceback" not in err

@@ -218,6 +218,13 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(DatasetFormatError, match="line 3"):
             load_dataset(path)
 
+    def test_non_utf8_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"#hypersfda-embeddings v1 dim=2 classes=2 labeled=1 domain=source\n"
+                         b"0,1.0,2.0\n1,\xff,2.0\n")
+        with pytest.raises(DatasetFormatError, match="line 3: file is not UTF-8 text"):
+            load_dataset(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("#something v1 dim=2 classes=2 labeled=1 domain=source\n0,1.0,2.0\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersfda import ConfigError, EmaState, LossBreakdown, lambda_schedule
+from hypersfda import AdaptConfig, ConfigError, EmaState, LossBreakdown, lambda_schedule
 from hypersfda.objective import (
     SQRT2,
     adaptive_loss_batch,
@@ -107,9 +107,9 @@ class TestEmaState:
 
     @pytest.mark.parametrize("delta", [-0.1, 1.0, 1.5])
     def test_rejects_bad_delta(self, delta):
-        s = EmaState.initial(1, 2)
+        # the trainer takes delta from AdaptConfig, which owns the range check
         with pytest.raises(ConfigError):
-            ema_update_batch(s, ONLY_FIRST, np.array([[0.5, 0.5]]), delta, 0)
+            AdaptConfig(delta=delta)
 
     def test_batch_matches_single_updates(self):
         rng = rng_for(72)
@@ -185,9 +185,9 @@ class TestAdaptiveLoss:
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
     def test_rejects_bad_gamma(self, gamma):
+        # the trainer takes gamma from AdaptConfig, which owns the range check
         with pytest.raises(ConfigError):
-            adaptive_loss_batch(np.array([[1.0, 0.0]]), np.ones((1, 1, 2)),
-                                np.zeros((1, 1), dtype=bool), gamma, 1.0)
+            AdaptConfig(gamma=gamma)
 
     def test_batch_matches_single(self):
         rng = rng_for(75)
