@@ -2,9 +2,10 @@
 
 pretrain, adapt and eval resolve their configuration as defaults < --config
 JSON < explicit flags. Each registers flags only for the AdaptConfig fields
-it reads, and AdaptConfig checks every value. Training-style commands write
-a manifest recording the resolved configuration, inputs, and outputs before
-work starts, so a run can be reproduced from its manifest alone.
+it reads, and AdaptConfig checks every value. gen, pretrain and adapt write
+<command>_manifest.json before work starts, recording the settings read,
+every other argument, and the outputs, so a run can be reproduced from its
+manifest alone.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime abort
 (non-finite loss during adaptation).
@@ -12,10 +13,10 @@ Exit codes: 0 success, 2 usage or configuration error, 3 runtime abort
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,23 +51,6 @@ _COMMAND_FIELDS = {
     "adapt": tuple(n for n in FIELD_TYPES if n not in ("d_z", "label_smoothing")),
     "eval": ("h",),
 }
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    config: dict
-    inputs: dict
-    outputs: dict
-    seed: int
-    tool_version: str = __version__
-    started_at: str = ""
-    finished_at: str = ""
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n", encoding="utf-8")
 
 
 def _now() -> str:
@@ -107,6 +91,43 @@ def _resolve_config(args) -> AdaptConfig:
     return AdaptConfig.from_dict(values)
 
 
+# parsed arguments that are not inputs of a run: where it writes, how much
+# it prints, the --config path (its values land in the manifest's config)
+# and the subcommand dispatch
+_NOT_INPUTS = ("out", "quiet", "config", "command", "func")
+
+
+@contextlib.contextmanager
+def _manifest(args, config: AdaptConfig | None, outputs: dict[str, Path]):
+    """Write <command>_manifest.json into --out before the work, stamp it after.
+
+    The manifest's config holds the AdaptConfig fields the command reads
+    (gen, which has none, records its flags as given) and its inputs hold
+    every other argument, so the run can be reproduced from the manifest
+    alone. A run that raises leaves finished_at empty.
+    """
+    given = {name: str(value) if isinstance(value, Path) else value
+             for name, value in vars(args).items() if name not in _NOT_INPUTS}
+    settings = given if config is None else {
+        name: getattr(config, name) for name in _COMMAND_FIELDS[args.command]}
+    manifest = {
+        "command": args.command,
+        "config": settings,
+        "inputs": {name: value for name, value in given.items() if name not in settings},
+        "outputs": {name: str(path) for name, path in outputs.items()},
+        "seed": settings["seed"],
+        "tool_version": __version__,
+        "started_at": _now(),
+        "finished_at": "",
+    }
+    path = args.out / f"{args.command}_manifest.json"
+    args.out.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    yield
+    manifest["finished_at"] = _now()
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+
+
 def _build_shift(args) -> ShiftSpec:
     translation = None
     if args.translate:
@@ -120,41 +141,22 @@ def _build_shift(args) -> ShiftSpec:
 
 
 def cmd_gen(args) -> int:
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    shift = _build_shift(args)
-    if args.kind == "gaussian":
-        source, target = gen_gaussian_domains(
-            class_count=args.classes, dim=args.dim, n_source=args.n_source,
-            n_target=args.n_target, shift=shift, seed=args.seed,
-            separation=args.separation, sigma=args.sigma,
-        )
-    else:
-        source, target = gen_two_moons_domains(
-            n_source=args.n_source, n_target=args.n_target, shift=shift,
-            seed=args.seed, dim=args.dim, moon_noise=args.moon_noise,
-        )
-    source_path = out / "source.csv"
-    target_path = out / "target.csv"
-    save_dataset(source, source_path)
-    save_dataset(target, target_path)
-    manifest = RunManifest(
-        command="gen",
-        config={
-            "kind": args.kind, "classes": source.class_count, "dim": args.dim,
-            "n_source": args.n_source, "n_target": args.n_target,
-            "rotate_deg": args.rotate_deg, "translate": args.translate,
-            "noise_sigma": args.noise_sigma, "shift_seed": args.shift_seed,
-            "separation": args.separation, "sigma": args.sigma,
-            "moon_noise": args.moon_noise,
-        },
-        inputs={},
-        outputs={"source": str(source_path), "target": str(target_path)},
-        seed=args.seed,
-        started_at=_now(),
-        finished_at=_now(),
-    )
-    manifest.write(out / "gen_manifest.json")
+    source_path, target_path = args.out / "source.csv", args.out / "target.csv"
+    with _manifest(args, None, {"source": source_path, "target": target_path}):
+        shift = _build_shift(args)
+        if args.kind == "gaussian":
+            source, target = gen_gaussian_domains(
+                class_count=args.classes, dim=args.dim, n_source=args.n_source,
+                n_target=args.n_target, shift=shift, seed=args.seed,
+                separation=args.separation, sigma=args.sigma,
+            )
+        else:
+            source, target = gen_two_moons_domains(
+                n_source=args.n_source, n_target=args.n_target, shift=shift,
+                seed=args.seed, dim=args.dim, moon_noise=args.moon_noise,
+            )
+        save_dataset(source, source_path)
+        save_dataset(target, target_path)
     _say(args, f"wrote {source_path} and {target_path}")
     return 0
 
@@ -162,24 +164,11 @@ def cmd_gen(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     source = load_dataset(args.source)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out / "source_model.ckpt"
-    manifest = RunManifest(
-        command="pretrain",
-        config=cfg.to_dict(),
-        inputs={"source": str(args.source)},
-        outputs={"checkpoint": str(ckpt_path)},
-        seed=cfg.seed,
-        started_at=_now(),
-    )
-    manifest_path = out / "pretrain_manifest.json"
-    manifest.write(manifest_path)
-    model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
-    model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg)
-    save_model(model, ckpt_path)
-    manifest.finished_at = _now()
-    manifest.write(manifest_path)
+    ckpt_path = args.out / "source_model.ckpt"
+    with _manifest(args, cfg, {"checkpoint": ckpt_path}):
+        model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
+        model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg)
+        save_model(model, ckpt_path)
     print(json.dumps({"source_accuracy": acc}))
     _say(args, f"wrote {ckpt_path}")
     return 0
@@ -189,33 +178,19 @@ def cmd_adapt(args) -> int:
     cfg = _resolve_config(args)
     model = load_model(args.model)
     target = load_dataset(args.target)
-    out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out / "adapted.ckpt"
-    metrics_path = out / "metrics.jsonl"
-    manifest = RunManifest(
-        command="adapt",
-        config=cfg.to_dict(),
-        inputs={"model": str(args.model), "target": str(args.target)},
-        outputs={"checkpoint": str(ckpt_path), "metrics": str(metrics_path)},
-        seed=cfg.seed,
-        started_at=_now(),
-    )
-    manifest_path = out / "adapt_manifest.json"
-    manifest.write(manifest_path)
-
-    resume_state = None
-    if args.resume is not None:
-        resume_state = load_checkpoint(args.resume)
-    model, metrics, state = adapt(
-        model, target, cfg, resume_from=resume_state, abort_path=ckpt_path
-    )
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        for record in metrics:
-            fh.write(json.dumps(record.stream_dict()) + "\n")
-    save_checkpoint(state, ckpt_path)
-    manifest.finished_at = _now()
-    manifest.write(manifest_path)
+    ckpt_path = args.out / "adapted.ckpt"
+    metrics_path = args.out / "metrics.jsonl"
+    # one line per iteration as it completes; a resumed run appends to the
+    # stream of the run it continues
+    with (_manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}),
+          open(metrics_path, "w" if args.resume is None else "a", encoding="utf-8") as fh):
+        resume_state = None if args.resume is None else load_checkpoint(args.resume)
+        model, metrics, state = adapt(
+            model, target, cfg, resume_from=resume_state, abort_path=ckpt_path,
+            iteration_callback=lambda _, record: fh.write(
+                json.dumps(record.stream_dict()) + "\n"),
+        )
+        save_checkpoint(state, ckpt_path)
     if metrics:
         first, last = metrics[0], metrics[-1]
         _say(args, f"iterations: {len(metrics)}")
@@ -241,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic source/target dataset pair")
+    gen = sub.add_parser("gen", allow_abbrev=False,
+                         help="generate a synthetic source/target dataset pair")
     gen.add_argument("--seed", type=int, default=0, help="generator seed")
     _add_output(gen)
     gen.add_argument("--kind", choices=["gaussian", "two-moons"], default="gaussian")
@@ -263,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="moon thickness (two-moons)")
     gen.set_defaults(func=cmd_gen)
 
-    pre = sub.add_parser("pretrain", help="train the source model on a labeled dataset")
+    pre = sub.add_parser("pretrain", allow_abbrev=False,
+                         help="train the source model on a labeled dataset")
     _add_output(pre)
     pre.add_argument("--source", type=Path, required=True, help="labeled source CSV")
     pre.add_argument("--pretrain-epochs", type=int, default=30,
@@ -271,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(pre, "pretrain")
     pre.set_defaults(func=cmd_pretrain)
 
-    ada = sub.add_parser("adapt", help="adapt a source model to an unlabeled target CSV")
+    ada = sub.add_parser("adapt", allow_abbrev=False,
+                         help="adapt a source model to an unlabeled target CSV")
     _add_output(ada)
     ada.add_argument("--model", type=Path, required=True, help="source checkpoint")
     ada.add_argument("--target", type=Path, required=True, help="target CSV")
@@ -280,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(ada, "adapt")
     ada.set_defaults(func=cmd_adapt)
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV")
+    ev = sub.add_parser("eval", allow_abbrev=False,
+                        help="evaluate a checkpoint on a labeled CSV")
     _add_output(ev, out=False)
     ev.add_argument("--model", type=Path, required=True, help="model checkpoint")
     ev.add_argument("--data", type=Path, required=True, help="labeled CSV")

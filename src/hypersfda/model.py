@@ -90,11 +90,6 @@ class GradientSet:
     def zeros_like(model: AdaptModel) -> "GradientSet":
         return GradientSet(*(np.zeros_like(t) for t in model.tensors()))
 
-    def scaled_add(self, other: "GradientSet", factor: float = 1.0) -> "GradientSet":
-        return GradientSet(
-            *(a + factor * b for a, b in zip(self.tensors(), other.tensors()))
-        )
-
 
 def init_model(dim: int, class_count: int, seed: int, d_z: int | None = None) -> AdaptModel:
     """Near-identity adapter plus 1/sqrt(fan_in)-scaled uniform classifier."""
@@ -134,10 +129,8 @@ def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarra
     Softmax Jacobian applied as dlogits = p * (u - (u . p)); ReLU passes
     gradient only where z > 0 (subgradient at 0 taken as 0).
     """
-    batch_x = np.atleast_2d(np.asarray(batch_x, dtype=np.float64))
-    z = np.atleast_2d(z)
-    p = np.atleast_2d(p)
-    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    batch_x = np.asarray(batch_x, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != p.shape or batch_x.shape[0] != p.shape[0]:
         raise ConfigError(
             f"upstream shape {upstream.shape} does not align with batch of {p.shape}"
@@ -173,7 +166,6 @@ def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet,
 def smoothed_cross_entropy(p: np.ndarray, labels: np.ndarray, class_count: int,
                            epsilon: float) -> tuple[float, np.ndarray]:
     """Mean label-smoothed cross entropy and its gradient w.r.t. p."""
-    p = np.atleast_2d(p)
     n = p.shape[0]
     y = np.full((n, class_count), epsilon / class_count)
     y[np.arange(n), labels] += 1.0 - epsilon

@@ -202,7 +202,6 @@ def evaluate(
     dataset: EmbeddingDataset,
     bank: MemoryBank | None = None,
     h: int = 3,
-    iteration: int = 0,
 ) -> MetricsRecord:
     """Accuracy plus neighborhood diagnostics on a labeled dataset.
 
@@ -232,7 +231,7 @@ def evaluate(
     counts = np.bincount(dataset.labels, minlength=c)
     misleading = np.divide(misled, counts, out=np.zeros(c), where=counts > 0)
     return MetricsRecord(
-        iteration=iteration,
+        iteration=0,
         acc=acc,
         neighbor_agreement=neighbor_agreement,
         misleading_ratio=tuple(misleading.tolist()),

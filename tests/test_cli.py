@@ -13,7 +13,7 @@ from hypersfda import (
     save_checkpoint,
     save_dataset,
 )
-from hypersfda.cli import main
+from hypersfda.cli import _COMMAND_FIELDS, main
 
 from helpers import cli_options
 
@@ -80,6 +80,20 @@ class TestGen:
         assert run_cli(*GEN_ARGS, "--out", tmp_path, "--quiet") == 0
         assert capsys.readouterr().out == ""
 
+    def test_records_flags_as_given(self, tmp_path):
+        assert run_cli("gen", "--kind", "two-moons", "--dim", "5", "--n-source", "40",
+                       "--n-target", "40", "--seed", "2", "--out", tmp_path, "--quiet") == 0
+        manifest = json.loads((tmp_path / "gen_manifest.json").read_text())
+        assert manifest["config"]["seed"] == 2 and manifest["config"]["classes"] == 4
+        assert manifest["config"]["kind"] == "two-moons" and manifest["inputs"] == {}
+
+    def test_failure_leaves_unfinished_manifest(self, tmp_path, capsys):
+        assert run_cli("gen", "--classes", "1", "--out", tmp_path, "--quiet") == 2
+        assert "class_count" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "gen_manifest.json").read_text())
+        assert manifest["finished_at"] == "" and manifest["config"]["classes"] == 1
+        assert not (tmp_path / "source.csv").exists()
+
 
 class TestPretrain:
     def test_reports_accuracy_and_saves_model(self, workspace, capsys):
@@ -97,6 +111,20 @@ class TestPretrain:
         assert manifest["command"] == "pretrain"
         assert manifest["config"]["lr"] == 0.01
         assert manifest["finished_at"] != ""
+
+    def test_manifest_reproduces_checkpoint(self, workspace, tmp_path):
+        manifest_path = workspace / "pretrain_manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert list(manifest["config"]) == list(_COMMAND_FIELDS["pretrain"])
+        assert manifest["inputs"] == {"source": str(workspace / "source.csv"),
+                                      "pretrain_epochs": 30}
+        inputs = manifest["inputs"]
+        assert run_cli(
+            "pretrain", "--config", manifest_path, "--source", inputs["source"],
+            "--pretrain-epochs", inputs["pretrain_epochs"], "--out", tmp_path, "--quiet",
+        ) == 0
+        assert ((tmp_path / "source_model.ckpt").read_bytes()
+                == (workspace / "source_model.ckpt").read_bytes())
 
     def test_rejects_unlabeled_source(self, tmp_path, workspace, capsys):
         ds = load_dataset(workspace / "target.csv")
@@ -138,6 +166,29 @@ class TestAdapt:
         assert manifest["config"]["k"] == 4 and manifest["config"]["epochs"] == 2
         assert manifest["inputs"]["model"].endswith("source_model.ckpt")
         assert manifest["finished_at"] != ""
+
+    def test_manifest_reproduces_run(self, workspace, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", *ADAPT_FLAGS,
+            "--seed", "3", "--out", first, "--quiet",
+        ) == 0
+        manifest = json.loads((first / "adapt_manifest.json").read_text())
+        assert list(manifest["config"]) == list(_COMMAND_FIELDS["adapt"])
+        assert "d_z" not in manifest["config"]
+        assert "label_smoothing" not in manifest["config"]
+        assert manifest["inputs"] == {"model": str(workspace / "source_model.ckpt"),
+                                      "target": str(workspace / "target.csv"),
+                                      "resume": None}
+        assert manifest["seed"] == 3
+        assert run_cli(
+            "adapt", "--config", first / "adapt_manifest.json",
+            "--model", manifest["inputs"]["model"], "--target", manifest["inputs"]["target"],
+            "--out", second, "--quiet",
+        ) == 0
+        for name in ("adapted.ckpt", "metrics.jsonl"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_unlabeled_target_omits_accuracy(self, workspace, tmp_path):
         ds = load_dataset(workspace / "target.csv")
@@ -229,6 +280,23 @@ class TestAdapt:
         assert json.loads(lines[0])["iter"] == 2 and len(lines) == 2
         assert (out / "adapted.ckpt").read_bytes() == (full / "adapted.ckpt").read_bytes()
 
+    def test_resume_into_same_directory_appends(self, workspace, partial_ckpt, tmp_path):
+        full, out = tmp_path / "full", tmp_path / "same"
+        args = ["adapt", "--model", workspace / "source_model.ckpt",
+                "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0", "--quiet"]
+        assert run_cli(*args, "--out", full) == 0
+        stream = (full / "metrics.jsonl").read_bytes()
+        out.mkdir()
+        (out / "metrics.jsonl").write_bytes(b"".join(stream.splitlines(keepends=True)[:2]))
+        assert run_cli(*args, "--resume", partial_ckpt, "--out", out) == 0
+        assert (out / "metrics.jsonl").read_bytes() == stream
+        assert (out / "adapted.ckpt").read_bytes() == (full / "adapted.ckpt").read_bytes()
+        manifest = json.loads((out / "adapt_manifest.json").read_text())
+        assert manifest["inputs"]["resume"] == str(partial_ckpt)
+        # resuming the finished run adds nothing and keeps every record
+        assert run_cli(*args, "--resume", out / "adapted.ckpt", "--out", out) == 0
+        assert (out / "metrics.jsonl").read_bytes() == stream
+
     def test_resume_against_other_sample_count_is_refused(
             self, workspace, partial_ckpt, tmp_path, capsys):
         ds = load_dataset(workspace / "target.csv")
@@ -266,6 +334,21 @@ class TestAdapt:
         rescued = load_checkpoint(tmp_path / "adapted.ckpt")
         for t in rescued.model.tensors():
             assert np.isfinite(t).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_keeps_completed_records(self, workspace, tmp_path, capsys):
+        assert run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", *ADAPT_FLAGS,
+            "--lr", "1e300", "--seed", "0", "--out", tmp_path, "--quiet",
+        ) == 3
+        aborted = load_checkpoint(tmp_path / "adapted.ckpt").iteration
+        assert aborted >= 1
+        assert f"aborted at iteration {aborted}:" in capsys.readouterr().err
+        lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+        assert [json.loads(line)["iter"] for line in lines] == list(range(aborted))
+        manifest = json.loads((tmp_path / "adapt_manifest.json").read_text())
+        assert manifest["finished_at"] == ""
 
 
 class TestEval:
@@ -361,6 +444,10 @@ class TestOptions:
         ["eval", "--model", "m", "--data", "d", "--k", "4"],
         ["eval", "--model", "m", "--data", "d", "--seed", "1"],
         ["gen", "--config", "x.json"],
+        # abbreviations of real flags are not accepted either
+        ["adapt", "--model", "m", "--target", "t", "--ep", "3"],
+        ["pretrain", "--source", "s.csv", "--label", "0.3"],
+        ["pretrain", "--source", "s.csv", "--pre", "7"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_removed_flag_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:
