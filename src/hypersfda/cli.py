@@ -128,22 +128,27 @@ def _manifest(args, config: AdaptConfig | None, outputs: dict[str, Path]):
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _build_shift(args) -> ShiftSpec:
-    translation = None
-    if args.translate:
-        translation = float(args.translate)
-    return ShiftSpec(
-        rotation_angle=float(np.deg2rad(args.rotate_deg)),
-        translation=translation,
-        noise_sigma=args.noise_sigma,
-        seed=args.shift_seed,
-    )
+def _trim_stream(path: Path, iteration: int) -> None:
+    """Cut a metrics stream before its first record at or past `iteration`.
+
+    A line that is not a whole JSON record (a run killed mid-write) ends the
+    kept part too; a missing file becomes an empty one.
+    """
+    kept = []
+    with contextlib.suppress(FileNotFoundError, ValueError, TypeError, KeyError):
+        for line in path.read_bytes().splitlines(keepends=True):
+            if not line.endswith(b"\n") or json.loads(line)["iter"] >= iteration:
+                break
+            kept.append(line)
+    path.write_bytes(b"".join(kept))
 
 
 def cmd_gen(args) -> int:
     source_path, target_path = args.out / "source.csv", args.out / "target.csv"
     with _manifest(args, None, {"source": source_path, "target": target_path}):
-        shift = _build_shift(args)
+        shift = ShiftSpec(rotation_angle=float(np.deg2rad(args.rotate_deg)),
+                          translation=args.translate, noise_sigma=args.noise_sigma,
+                          seed=args.shift_seed)
         if args.kind == "gaussian":
             source, target = gen_gaussian_domains(
                 class_count=args.classes, dim=args.dim, n_source=args.n_source,
@@ -180,16 +185,18 @@ def cmd_adapt(args) -> int:
     target = load_dataset(args.target)
     ckpt_path = args.out / "adapted.ckpt"
     metrics_path = args.out / "metrics.jsonl"
-    # one line per iteration as it completes; a resumed run appends to the
-    # stream of the run it continues
-    with (_manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}),
-          open(metrics_path, "w" if args.resume is None else "a", encoding="utf-8") as fh):
-        resume_state = None if args.resume is None else load_checkpoint(args.resume)
-        model, metrics, state = adapt(
-            model, target, cfg, resume_from=resume_state, abort_path=ckpt_path,
-            iteration_callback=lambda _, record: fh.write(
-                json.dumps(record.stream_dict()) + "\n"),
-        )
+    resume_state = None if args.resume is None else load_checkpoint(args.resume)
+    # one line per iteration as it completes; a resumed run keeps the records
+    # before its checkpoint and appends the rest
+    with _manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}):
+        if resume_state is not None:
+            _trim_stream(metrics_path, resume_state.iteration)
+        with open(metrics_path, "w" if resume_state is None else "a", encoding="utf-8") as fh:
+            model, metrics, state = adapt(
+                model, target, cfg, resume_from=resume_state, abort_path=ckpt_path,
+                iteration_callback=lambda _, record: fh.write(
+                    json.dumps(record.stream_dict()) + "\n"),
+            )
         save_checkpoint(state, ckpt_path)
     if metrics:
         first, last = metrics[0], metrics[-1]

@@ -7,9 +7,22 @@ import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or generator argument."""
+
+
+def seeded_rng(*key: int) -> np.random.Generator:
+    """PCG64 generator on SeedSequence(key), key = (seed, stream id, ...).
+
+    Stream ids keep the engine's draws independent of each other: 11-14
+    the synthetic datasets (class means, source, target, shift noise), 21
+    model init, 31 pretraining shuffles, 41 the PCA start and 71
+    adaptation shuffles; epoch-wise streams append the epoch.
+    """
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, seeded_rng
 
 FORMAT_MAGIC = "#hypersfda-embeddings"
 FORMAT_VERSION = "v1"
@@ -127,10 +127,6 @@ class ShiftSpec:
         return vec
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
-
-
 def _rotate_first_two(x: np.ndarray, angle: float) -> np.ndarray:
     """Rotate the first two coordinates of each row by `angle` radians."""
     out = x.copy()
@@ -205,14 +201,14 @@ def gen_gaussian_domains(
             f"sigma must be a positive scalar or {class_count} positive scales"
         )
     means = _simplex_means(
-        class_count, dim, separation * float(np.mean(sig)), _rng(seed, _STREAM_MEANS)
+        class_count, dim, separation * float(np.mean(sig)), seeded_rng(seed, _STREAM_MEANS)
     )
 
-    rng_s = _rng(seed, _STREAM_SOURCE)
+    rng_s = seeded_rng(seed, _STREAM_SOURCE)
     labels_s = _balanced_labels(n_source, class_count, rng_s)
     feats_s = means[labels_s] + sig[labels_s, None] * rng_s.standard_normal((n_source, dim))
 
-    rng_t = _rng(seed, _STREAM_TARGET)
+    rng_t = seeded_rng(seed, _STREAM_TARGET)
     if shift.class_prior_drift is not None:
         if shift.class_prior_drift.shape != (class_count,):
             raise ConfigError(
@@ -225,7 +221,7 @@ def gen_gaussian_domains(
     means_t = _rotate_first_two(means, shift.rotation_angle)
     means_t = means_t + shift.translation_vector(dim)
     if shift.noise_sigma > 0:
-        rng_n = _rng(shift.seed, _STREAM_SHIFT)
+        rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
         means_t = means_t + shift.noise_sigma * rng_n.standard_normal((class_count, dim))
     feats_t = means_t[labels_t] + sig[labels_t, None] * rng_t.standard_normal((n_target, dim))
 
@@ -256,7 +252,7 @@ def gen_two_moons_domains(
     if dim < 2:
         raise ConfigError(f"dim must be >= 2, got {dim}")
 
-    rng_embed = _rng(seed, _STREAM_MEANS)
+    rng_embed = seeded_rng(seed, _STREAM_MEANS)
     q, _ = np.linalg.qr(rng_embed.standard_normal((dim, 2)))
     embed = q.T  # (2, dim), orthonormal rows
     offset = rng_embed.standard_normal(dim)
@@ -276,8 +272,8 @@ def gen_two_moons_domains(
 
     centroid = np.array([0.5, 0.25])
 
-    pts_s, labels_s = moons2d(n_source, _rng(seed, _STREAM_SOURCE))
-    pts_t, labels_t = moons2d(n_target, _rng(seed, _STREAM_TARGET))
+    pts_s, labels_s = moons2d(n_source, seeded_rng(seed, _STREAM_SOURCE))
+    pts_t, labels_t = moons2d(n_target, seeded_rng(seed, _STREAM_TARGET))
     c, s = np.cos(shift.rotation_angle), np.sin(shift.rotation_angle)
     rot = np.array([[c, -s], [s, c]])
     pts_t = (pts_t - centroid) @ rot.T + centroid
@@ -286,7 +282,7 @@ def gen_two_moons_domains(
     feats_t = pts_t @ embed + offset
     feats_t = feats_t + shift.translation_vector(dim)
     if shift.noise_sigma > 0:
-        rng_n = _rng(shift.seed, _STREAM_SHIFT)
+        rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
         class_offsets = shift.noise_sigma * rng_n.standard_normal((2, dim))
         feats_t = feats_t + class_offsets[labels_t]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .config import ConfigError
+from .config import ConfigError, seeded_rng
 
 SOLVER_MAX_ITER = 10_000
 SOLVER_STEP_TOL = 1e-8
@@ -278,8 +278,7 @@ def pca_rows(H, m_prime: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ConfigError(f"need 1 <= m_prime < n, got m_prime={m_prime}, n={n}")
     mu = np.asarray(H.mean(axis=0)).ravel()
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 41])))
-    v, _ = np.linalg.qr(rng.standard_normal((n, m_prime)))
+    v, _ = np.linalg.qr(seeded_rng(seed, 41).standard_normal((n, m_prime)))
     prev_err = np.inf
     stalled = 0
     # several covariance applications per orthogonalization: same fixed

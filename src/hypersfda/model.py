@@ -8,6 +8,7 @@ bit-exact round-trip.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AdaptConfig, ConfigError
+from .config import AdaptConfig, ConfigError, seeded_rng
 from .datagen import EmbeddingDataset
 
 CHECKPOINT_MAGIC = b"HSFD"
@@ -98,7 +99,7 @@ def init_model(dim: int, class_count: int, seed: int, d_z: int | None = None) ->
     d_z = dim if d_z is None else d_z
     if d_z < 1:
         raise ConfigError(f"d_z must be >= 1, got {d_z}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 21])))
+    rng = seeded_rng(seed, 21)
     W_f = np.eye(dim, d_z) + rng.uniform(-0.01, 0.01, (dim, d_z))
     b_f = rng.uniform(-1, 1, d_z) / np.sqrt(dim)
     W_g = rng.uniform(-1, 1, (d_z, class_count)) / np.sqrt(d_z)
@@ -197,10 +198,7 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
     velocity = GradientSet.zeros_like(model)
     n = source.n
     for epoch in range(epochs):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([cfg.seed, 31, epoch]))
-        )
-        perm = rng.permutation(n)
+        perm = seeded_rng(cfg.seed, 31, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             x = source.features[idx]
@@ -233,15 +231,20 @@ def checkpoint_writer(path: str | Path, version: int, model: AdaptModel):
 
 
 def read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
+    # checked against the bytes left first: read(count) allocates count bytes
+    if count > os.fstat(fh.fileno()).st_size - fh.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+    return fh.read(count)
 
 
-def read_array(fh, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    count = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    return np.frombuffer(read_exact(fh, count, what), dtype=dtype).reshape(shape).copy()
+def read_array(fh, dtype: str, shape: tuple[int, ...], what: str,
+               finite: bool = True) -> np.ndarray:
+    """The next array of `shape` in the file; a float array must be finite if `finite`."""
+    count = math.prod(shape) * np.dtype(dtype).itemsize
+    arr = np.frombuffer(read_exact(fh, count, what), dtype=dtype).reshape(shape).copy()
+    if finite and arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise CheckpointError(f"non-finite values in {what}")
+    return arr
 
 
 def read_header(fh) -> tuple[int, int, int, int]:
@@ -256,11 +259,10 @@ def read_header(fh) -> tuple[int, int, int, int]:
     return version, d, d_z, c
 
 
-def read_model_tensors(fh, d: int, d_z: int, c: int) -> AdaptModel:
+def read_model_tensors(fh, d: int, d_z: int, c: int, kind=AdaptModel):
+    """The four parameter tensors as an AdaptModel (or a GradientSet)."""
     shapes = [(d, d_z), (d_z,), (d_z, c), (c,)]
-    return AdaptModel(
-        *(read_array(fh, "<f8", shape, f"tensor of shape {shape}") for shape in shapes)
-    )
+    return kind(*(read_array(fh, "<f8", shape, f"tensor of shape {shape}") for shape in shapes))
 
 
 def save_model(model: AdaptModel, path: str | Path) -> None:

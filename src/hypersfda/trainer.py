@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import AdaptConfig, ConfigError
+from .config import AdaptConfig, ConfigError, seeded_rng
 from .datagen import EmbeddingDataset
 from .hypergraph import HypergraphArtifacts, build_artifacts, cosine_knn, normalized_entropy
 from .model import (
@@ -128,8 +128,7 @@ def iterations_per_epoch(n: int, batch_size: int) -> int:
 
 def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     """Seeded shuffle of target indices; pure function of (seed, epoch)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 71, epoch])))
-    return rng.permutation(n)
+    return seeded_rng(seed, 71, epoch).permutation(n)
 
 
 def knn_safe_features(z: np.ndarray) -> np.ndarray:
@@ -147,11 +146,13 @@ def knn_safe_features(z: np.ndarray) -> np.ndarray:
 
 def refresh_hypergraph(
     model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig
-) -> tuple[HypergraphArtifacts | None, MemoryBank, np.ndarray]:
-    """Full forward pass, then hypergraph artifacts, bank, and close sets.
+) -> tuple[HypergraphArtifacts | None, MemoryBank, np.ndarray, np.ndarray]:
+    """Full forward pass, then hypergraph artifacts, bank, close sets and known mask.
 
     With high_order disabled the hypergraph is skipped entirely and close
-    sets fall back to plain cosine neighbors of the adapter features.
+    sets fall back to plain cosine neighbors of the adapter features. The
+    known mask is all-true, or in open-set mode False on the unknown set
+    of open_set_split.
     """
     z, p = forward(model, target.features)
     z = knn_safe_features(z)
@@ -164,8 +165,10 @@ def refresh_hypergraph(
     else:
         artifacts = None
         clusters = cosine_knn(z, cfg.h)
-    bank = MemoryBank(features=z, predictions=p)
-    return artifacts, bank, clusters
+    known_mask = np.ones(target.n, dtype=bool)
+    if cfg.open_set:
+        known_mask[open_set_split(p)[1]] = False
+    return artifacts, MemoryBank(features=z, predictions=p), clusters, known_mask
 
 
 def open_set_split(predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,17 +241,6 @@ def evaluate(
     )
 
 
-def _refresh(model: AdaptModel, target: EmbeddingDataset,
-             cfg: AdaptConfig) -> tuple[MemoryBank, np.ndarray, np.ndarray]:
-    """refresh_hypergraph, then the open-set known mask: (bank, clusters, known_mask)."""
-    _, bank, clusters = refresh_hypergraph(model, target, cfg)
-    if not cfg.open_set:
-        return bank, clusters, np.ones(target.n, dtype=bool)
-    known_mask = np.zeros(target.n, dtype=bool)
-    known_mask[open_set_split(bank.predictions)[0]] = True
-    return bank, clusters, known_mask
-
-
 def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
     """mask[i, m] marks batch member m as background for anchor i."""
     b = batch.size
@@ -271,7 +263,8 @@ def adapt(
 
     `stop_after` limits how many iterations this call executes (for
     checkpoint/resume); `resume_from` continues a copy of a previous state
-    under the same config and target, leaving the caller's state as it was.
+    under the same config and target, leaving the caller's state as it was,
+    and must not lie past the run's last iteration.
     On a non-finite loss or gradient the last good state is saved to
     `abort_path` (when given) and TrainingAborted raises.
     """
@@ -299,10 +292,13 @@ def adapt(
                 f"checkpoint was adapted with h={resume_from.clusters.shape[1]} "
                 f"but the config has h={cfg.h}"
             )
+        if resume_from.iteration > max_iter:
+            raise ConfigError(f"checkpoint is at iteration {resume_from.iteration}, past "
+                              f"the run's end at {max_iter} ({cfg.epochs} epochs)")
         state = copy.deepcopy(resume_from)
         model = state.model
     else:
-        bank, clusters, known_mask = _refresh(model, target, cfg)
+        _, bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
         state = TrainerState(
             model=model,
             velocity=GradientSet.zeros_like(model),
@@ -315,22 +311,21 @@ def adapt(
         )
 
     metrics: list[MetricsRecord] = []
-    executed = 0
     labeled = target.labels is not None
+    start = state.iteration
+    stop = max_iter if stop_after is None else min(max_iter, start + stop_after)
 
-    while state.iteration < max_iter:
-        if stop_after is not None and executed >= stop_after:
-            break
-        t = state.iteration
+    for t in range(start, stop):
         # iteration 0's refresh happens at state construction; afterwards a
         # refresh is due whenever t hits the interval and was not already done
         if t % cfg.t_in == 0 and t != state.refreshed_at:
-            state.bank, state.clusters, state.known_mask = _refresh(state.model, target, cfg)
+            _, state.bank, state.clusters, state.known_mask = refresh_hypergraph(
+                state.model, target, cfg)
             state.refreshed_at = t
 
-        epoch = t // per_epoch
-        pos = t % per_epoch
-        perm = epoch_permutation(cfg.seed, epoch, n)
+        epoch, pos = divmod(t, per_epoch)
+        if t == start or pos == 0:
+            perm = epoch_permutation(cfg.seed, epoch, n)
         batch = perm[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
         batch = batch[state.known_mask[batch]]
 
@@ -381,7 +376,6 @@ def adapt(
         record = replace(snapshot, iteration=t, **vars(breakdown))
         metrics.append(record)
         state.iteration = t + 1
-        executed += 1
         if iteration_callback is not None:
             iteration_callback(state, record)
 
@@ -414,15 +408,17 @@ def load_checkpoint(path: str | Path) -> TrainerState:
         model = read_model_tensors(fh, d, d_z, c)
         head = read_exact(fh, struct.calcsize("<IIqq"), "trainer header")
         n, h, iteration, refreshed_at = struct.unpack("<IIqq", head)
-        shapes = [(d, d_z), (d_z,), (d_z, c), (c,)]
-        velocity = GradientSet(
-            *(read_array(fh, "<f8", s, "velocity tensor") for s in shapes)
-        )
+        if not 0 <= refreshed_at <= iteration:
+            raise CheckpointError(f"refresh iteration {refreshed_at} outside [0, {iteration}]")
+        velocity = read_model_tensors(fh, d, d_z, c, GradientSet)
         q = read_array(fh, "<f8", (n, c), "EMA state")
         stamps = read_array(fh, "<i8", (n,), "EMA stamps")
-        bank_feats = read_array(fh, "<f8", (n, d_z), "bank features")
-        bank_preds = read_array(fh, "<f8", (n, c), "bank predictions")
+        # an aborted run's bank may hold the non-finite outputs of its last step
+        bank_feats = read_array(fh, "<f8", (n, d_z), "bank features", finite=False)
+        bank_preds = read_array(fh, "<f8", (n, c), "bank predictions", finite=False)
         clusters = read_array(fh, "<i8", (n, h), "clusters")
+        if ((clusters < 0) | (clusters >= n)).any():
+            raise CheckpointError(f"cluster indices outside [0, {n})")
         known = read_array(fh, "u1", (n,), "known mask").astype(bool)
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")

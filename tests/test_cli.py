@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -321,6 +322,53 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert "h=3" in err and "Traceback" not in err
 
+    # the stream already in --out: the whole run's, or its first two records
+    # and a line cut short
+    @pytest.mark.parametrize("cut", [None, 20])
+    def test_resume_trims_records_past_the_checkpoint(
+            self, workspace, partial_ckpt, tmp_path, cut):
+        full, out = tmp_path / "full", tmp_path / "over"
+        args = ["adapt", "--model", workspace / "source_model.ckpt",
+                "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0", "--quiet"]
+        assert run_cli(*args, "--out", full) == 0
+        stream = (full / "metrics.jsonl").read_bytes()
+        out.mkdir()
+        lines = stream.splitlines(keepends=True)
+        (out / "metrics.jsonl").write_bytes(
+            stream if cut is None else b"".join(lines[:2]) + lines[2][:cut])
+        assert run_cli(*args, "--resume", partial_ckpt, "--out", out) == 0
+        assert (out / "metrics.jsonl").read_bytes() == stream
+
+    def test_resume_past_the_run_end_is_refused(self, workspace, tmp_path, capsys):
+        args = ["adapt", "--model", workspace / "source_model.ckpt",
+                "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0", "--quiet"]
+        assert run_cli(*args, "--out", tmp_path / "full") == 0
+        code = run_cli(*args, "--epochs", "1", "--resume", tmp_path / "full" / "adapted.ckpt",
+                       "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "past the run's end at 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, message", [
+        ("clusters", "cluster indices outside [0, 60)"),
+        ("iteration", "refresh iteration 0 outside [0, -5]"),
+    ])
+    def test_resume_from_corrupted_checkpoint_is_refused(
+            self, workspace, partial_ckpt, tmp_path, capsys, field, message):
+        state = load_checkpoint(partial_ckpt)
+        if field == "clusters":
+            state.clusters[0, 0] = 10**6
+        else:
+            state.iteration = -5
+        save_checkpoint(state, tmp_path / "bad.ckpt")
+        assert run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", "--resume", tmp_path / "bad.ckpt",
+            *ADAPT_FLAGS, "--seed", "0", "--out", tmp_path / "out", "--quiet",
+        ) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3_and_saves_state(self, workspace, tmp_path, capsys):
         code = run_cli(
@@ -490,3 +538,21 @@ class TestBadInputs:
         ) == 2
         err = capsys.readouterr().err
         assert "not UTF-8 text" in err and "Traceback" not in err
+
+    def test_non_finite_model_tensor(self, workspace, tmp_path, capsys):
+        raw = bytearray((workspace / "source_model.ckpt").read_bytes())
+        raw[18:26] = struct.pack("<d", float("nan"))  # W_f[0, 0], after the 18-byte header
+        (tmp_path / "nan.ckpt").write_bytes(raw)
+        assert run_cli("eval", "--model", tmp_path / "nan.ckpt",
+                       "--data", workspace / "target.csv") == 2
+        err = capsys.readouterr().err
+        assert "non-finite values" in err and "Traceback" not in err
+
+    def test_header_promising_more_than_the_file_holds(self, workspace, tmp_path, capsys):
+        # d = d_z = 65535 asks for a 34 GB W_f from an 82-byte file
+        raw = b"HSFD" + struct.pack("<HIII", 1, 65535, 65535, 2) + bytes(64)
+        (tmp_path / "huge.ckpt").write_bytes(raw)
+        assert run_cli("eval", "--model", tmp_path / "huge.ckpt",
+                       "--data", workspace / "target.csv") == 2
+        err = capsys.readouterr().err
+        assert "truncated" in err and "Traceback" not in err

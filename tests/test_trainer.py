@@ -89,7 +89,7 @@ class TestRefreshHypergraph:
     def test_high_order_matches_manual_build(self):
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
-        artifacts, bank, clusters = refresh_hypergraph(model, tgt, cfg)
+        artifacts, bank, clusters, _ = refresh_hypergraph(model, tgt, cfg)
         z, p = forward(model, tgt.features)
         zs = knn_safe_features(z)
         want = build_artifacts(
@@ -104,10 +104,20 @@ class TestRefreshHypergraph:
     def test_pairwise_fallback_uses_feature_cosine(self):
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, high_order=False, **QUICK)
-        artifacts, bank, clusters = refresh_hypergraph(model, tgt, cfg)
+        artifacts, bank, clusters, _ = refresh_hypergraph(model, tgt, cfg)
         z, _ = forward(model, tgt.features)
         assert artifacts is None
         assert np.array_equal(clusters, cosine_knn(knn_safe_features(z), cfg.h))
+
+    def test_known_mask_is_open_set_split(self):
+        model, tgt = small_problem()
+        _, _, _, closed = refresh_hypergraph(model, tgt, AdaptConfig(seed=0, **QUICK))
+        assert closed.dtype == bool and closed.all()
+        cfg = AdaptConfig(seed=0, open_set=True, **QUICK)
+        _, bank, _, known_mask = refresh_hypergraph(model, tgt, cfg)
+        known, unknown = open_set_split(bank.predictions)
+        assert unknown.size > 0
+        assert np.array_equal(np.flatnonzero(known_mask), known)
 
 
 class TestOpenSetSplit:
@@ -434,3 +444,14 @@ class TestCheckpointFormat:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("where, what", [
+        (lambda s: s.velocity.W_g, "tensor of shape"), (lambda s: s.ema.q, "EMA state"),
+    ])
+    def test_non_finite_state_rejected(self, tmp_path, where, what):
+        model, tgt = small_problem()
+        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=1)
+        where(state)[0, 0] = np.nan
+        save_checkpoint(state, tmp_path / "nan.ckpt")
+        with pytest.raises(CheckpointError, match=f"non-finite values in {what}"):
+            load_checkpoint(tmp_path / "nan.ckpt")
