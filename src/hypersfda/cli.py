@@ -35,6 +35,7 @@ from .model import CheckpointError, init_model, load_model, pretrain_source, sav
 from .trainer import (
     TrainingAborted,
     adapt,
+    check_adapt_inputs,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -186,6 +187,8 @@ def cmd_adapt(args) -> int:
     ckpt_path = args.out / "adapted.ckpt"
     metrics_path = args.out / "metrics.jsonl"
     resume_state = None if args.resume is None else load_checkpoint(args.resume)
+    # refused inputs must leave the previous run in --out as it was
+    check_adapt_inputs(model, target, cfg, resume_state)
     # one line per iteration as it completes; a resumed run keeps the records
     # before its checkpoint and appends the rest
     with _manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}):

@@ -12,7 +12,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,33 +31,74 @@ class CheckpointError(ValueError):
     """Unreadable or malformed checkpoint file."""
 
 
-@dataclass(frozen=True)
-class AdaptModel:
-    """Parameters of adapter f (W_f, b_f) and classifier g (W_g, b_g)."""
+PARAM_NAMES = ("W_f", "b_f", "W_g", "b_g")
 
-    W_f: np.ndarray  # (d, d_z)
-    b_f: np.ndarray  # (d_z,)
-    W_g: np.ndarray  # (d_z, |C|)
-    b_g: np.ndarray  # (|C|,)
+
+@dataclass(frozen=True)
+class ParamVector:
+    """W_f (d, d_z), b_f (d_z,), W_g (d_z, |C|) and b_g (|C|,) as views of one vector.
+
+    `flat` is a contiguous float64 vector holding the four tensors in that
+    order, row-major; the fields are reshaped views into it, so whole-set
+    arithmetic runs once over `flat`.
+    """
+
+    W_f: np.ndarray
+    b_f: np.ndarray
+    W_g: np.ndarray
+    b_g: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("W_f", "b_f", "W_g", "b_g"):
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
-            object.__setattr__(self, name, arr)
-        if self.W_f.ndim != 2 or self.W_g.ndim != 2:
-            raise ConfigError("weight matrices must be 2-D")
-        d, d_z = self.W_f.shape
-        d_z2, c = self.W_g.shape
-        if d_z != d_z2 or self.b_f.shape != (d_z,) or self.b_g.shape != (c,):
-            raise ConfigError(
-                f"inconsistent parameter shapes: W_f {self.W_f.shape}, b_f {self.b_f.shape}, "
-                f"W_g {self.W_g.shape}, b_g {self.b_g.shape}"
-            )
-        for name in ("W_f", "b_f", "W_g", "b_g"):
-            arr = getattr(self, name)
-            if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite values in {name}")
-            arr.flags.writeable = False
+        tensors = [np.asarray(getattr(self, name), dtype=np.float64) for name in PARAM_NAMES]
+        W_f, b_f, W_g, b_g = tensors
+        if not (W_f.ndim == W_g.ndim == 2 and b_f.shape == W_f.shape[1:] == W_g.shape[:1]
+                and b_g.shape == W_g.shape[1:]):
+            raise ConfigError("inconsistent parameter shapes: " + ", ".join(
+                f"{name} {t.shape}" for name, t in zip(PARAM_NAMES, tensors)))
+        self._bind(np.concatenate([t.ravel() for t in tensors]), *W_f.shape, W_g.shape[1])
+
+    def _bind(self, flat: np.ndarray, d: int, d_z: int, c: int) -> None:
+        i, j, k = d * d_z, (d + 1) * d_z, (d + 1 + c) * d_z
+        self.__dict__.update(flat=flat, W_f=flat[:i].reshape(d, d_z), b_f=flat[i:j],
+                             W_g=flat[j:k].reshape(d_z, c), b_g=flat[k:])
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, d: int, d_z: int, c: int):
+        """Views over `flat` (taken, not copied), with no checks."""
+        params = object.__new__(cls)
+        params._bind(flat, d, d_z, c)
+        return params
+
+    def __deepcopy__(self, memo) -> "ParamVector":
+        # copying each view separately would cut it loose from the new vector
+        return self.from_flat(self.flat.copy(), *self.dims)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(d, d_z, |C|)."""
+        return (*self.W_f.shape, self.W_g.shape[1])
+
+    def tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return self.W_f, self.b_f, self.W_g, self.b_g
+
+    def non_finite(self) -> str | None:
+        """Name of the first tensor holding a non-finite value, or None."""
+        return next((name for name, t in zip(PARAM_NAMES, self.tensors())
+                     if not np.isfinite(t).all()), None)
+
+
+class AdaptModel(ParamVector):
+    """Parameters of adapter f (W_f, b_f) and classifier g (W_g, b_g); read-only, finite."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if (bad := self.non_finite()) is not None:
+            raise FloatingPointError(f"non-finite values in {bad}")
+
+    def _bind(self, flat: np.ndarray, d: int, d_z: int, c: int) -> None:
+        flat.flags.writeable = False
+        super()._bind(flat, d, d_z, c)
 
     @property
     def dim(self) -> int:
@@ -71,25 +112,13 @@ class AdaptModel:
     def class_count(self) -> int:
         return self.W_g.shape[1]
 
-    def tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.W_f, self.b_f, self.W_g, self.b_g
 
-
-@dataclass(frozen=True)
-class GradientSet:
-    """One buffer per parameter tensor, same shapes as AdaptModel."""
-
-    W_f: np.ndarray
-    b_f: np.ndarray
-    W_g: np.ndarray
-    b_g: np.ndarray
-
-    def tensors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.W_f, self.b_f, self.W_g, self.b_g
+class GradientSet(ParamVector):
+    """Gradients or momentum, same layout as AdaptModel; writable."""
 
     @staticmethod
     def zeros_like(model: AdaptModel) -> "GradientSet":
-        return GradientSet(*(np.zeros_like(t) for t in model.tensors()))
+        return GradientSet.from_flat(np.zeros(model.flat.size), *model.dims)
 
 
 def init_model(dim: int, class_count: int, seed: int, d_z: int | None = None) -> AdaptModel:
@@ -130,38 +159,37 @@ def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarra
     Softmax Jacobian applied as dlogits = p * (u - (u . p)); ReLU passes
     gradient only where z > 0 (subgradient at 0 taken as 0).
     """
-    batch_x = np.asarray(batch_x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape != p.shape or batch_x.shape[0] != p.shape[0]:
         raise ConfigError(
             f"upstream shape {upstream.shape} does not align with batch of {p.shape}"
         )
     dlogits = p * (upstream - (upstream * p).sum(axis=1, keepdims=True))
-    dW_g = z.T @ dlogits
-    db_g = dlogits.sum(axis=0)
+    grads = GradientSet.from_flat(np.empty(model.flat.size), *model.dims)
+    np.matmul(z.T, dlogits, out=grads.W_g)
+    dlogits.sum(axis=0, out=grads.b_g)
     dz = (dlogits @ model.W_g.T) * (z > 0)
-    dW_f = batch_x.T @ dz
-    db_f = dz.sum(axis=0)
-    return GradientSet(dW_f, db_f, dW_g, db_g)
+    np.matmul(batch_x.T, dz, out=grads.W_f)
+    dz.sum(axis=0, out=grads.b_f)
+    return grads
 
 
 def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet,
              lr: float, momentum: float) -> tuple[AdaptModel, GradientSet]:
-    """v <- momentum*v + grad; theta <- theta - lr*v. Functional, no mutation."""
-    if lr <= 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
-    if not 0 <= momentum < 1:
-        raise ConfigError(f"momentum must be in [0, 1), got {momentum}")
-    names = ("W_f", "b_f", "W_g", "b_g")
-    new_v = []
-    new_p = []
-    for name, theta, g, v in zip(names, model.tensors(), grads.tensors(), velocity.tensors()):
-        if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in {name}")
-        v_next = momentum * v + g
-        new_v.append(v_next)
-        new_p.append(theta - lr * v_next)
-    return AdaptModel(*new_p), GradientSet(*new_v)
+    """v <- momentum*v + grad; theta <- theta - lr*v over the flat vectors, no mutation.
+
+    A non-finite result names the first non-finite gradient tensor, or else
+    the first non-finite parameter tensor. AdaptConfig checks lr and momentum.
+    """
+    v = velocity.flat * momentum
+    v += grads.flat
+    theta = v * -lr  # theta - lr * v bit for bit, one temporary fewer
+    theta += model.flat
+    new_model = AdaptModel.from_flat(theta, *model.dims)
+    if not np.isfinite(theta).all():
+        bad = grads.non_finite()
+        raise FloatingPointError(f"non-finite gradient in {bad}" if bad is not None
+                                 else f"non-finite values in {new_model.non_finite()}")
+    return new_model, GradientSet.from_flat(v, *model.dims)
 
 
 def smoothed_cross_entropy(p: np.ndarray, labels: np.ndarray, class_count: int,
@@ -225,7 +253,7 @@ def checkpoint_writer(path: str | Path, version: int, model: AdaptModel):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", version))
         fh.write(struct.pack("<III", model.dim, model.d_z, model.class_count))
-        write_arrays(fh, model.tensors())
+        write_arrays(fh, [model.flat])
         yield fh
     os.replace(tmp, path)
 
@@ -259,10 +287,13 @@ def read_header(fh) -> tuple[int, int, int, int]:
     return version, d, d_z, c
 
 
-def read_model_tensors(fh, d: int, d_z: int, c: int, kind=AdaptModel):
-    """The four parameter tensors as an AdaptModel (or a GradientSet)."""
-    shapes = [(d, d_z), (d_z,), (d_z, c), (c,)]
-    return kind(*(read_array(fh, "<f8", shape, f"tensor of shape {shape}") for shape in shapes))
+def read_params(fh, d: int, d_z: int, c: int, kind=AdaptModel):
+    """The parameter vector as an AdaptModel (or a GradientSet); it must be finite."""
+    flat = read_array(fh, "<f8", ((d + 1 + c) * d_z + c,), "parameters", finite=False)
+    params = kind.from_flat(flat, d, d_z, c)
+    if (bad := params.non_finite()) is not None:
+        raise CheckpointError(f"non-finite values in tensor of shape {getattr(params, bad).shape}")
+    return params
 
 
 def save_model(model: AdaptModel, path: str | Path) -> None:
@@ -275,7 +306,7 @@ def load_model(path: str | Path) -> AdaptModel:
     """Read the model from a version-1 or version-2 checkpoint."""
     with open(path, "rb") as fh:
         version, d, d_z, c = read_header(fh)
-        model = read_model_tensors(fh, d, d_z, c)
+        model = read_params(fh, d, d_z, c)
         # version 2 continues with trainer state; version 1 must end here
         if version == CHECKPOINT_VERSION_MODEL and fh.read(1):
             raise CheckpointError("trailing bytes after model tensors")

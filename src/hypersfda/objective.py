@@ -10,6 +10,7 @@ prediction p_i.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .config import ConfigError
 from .model import PROB_FLOOR
 
-SQRT2 = float(np.sqrt(2.0))
+EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -50,7 +51,7 @@ class LossBreakdown:
     lambda_used: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.total):
+        if not math.isfinite(self.total):
             raise FloatingPointError("non-finite loss total")
 
 
@@ -78,18 +79,28 @@ def adaptive_loss_batch(
     constants; background_mask: (b, b) boolean, row i marking batch members
     of B_i. Background predictions are the detached rows of p_live.
     Returns (pull (b,), push (b,), grad (b, C)). AdaptConfig checks gamma > 0.
+    Background distances come from the Gram matrix p_live @ p_live.T and
+    the squared row norms, so push and its gradient are two matmuls; a
+    distance below that form's rounding error (about 1e-7 for |C| = 10)
+    counts as 0.
     """
-    b, c = p_live.shape
-    d_close = np.linalg.norm(close_preds - p_live[:, None, :], axis=2) / SQRT2
-    w_close = 1.0 - np.clip(d_close, 0.0, 1.0) ** gamma
-    pull = -np.einsum("bh,bhc,bc->b", w_close, close_preds, p_live)
+    diff = close_preds - p_live[:, None, :]
+    # d / sqrt(2) clipped at 1, raised to gamma, as (d^2 / 2) clipped at 1 to gamma / 2
+    half_sq = 0.5 * np.einsum("bhc,bhc->bh", diff, diff)
+    w_close = 1.0 - np.minimum(half_sq, 1.0) ** (0.5 * gamma)
     grad = -np.einsum("bh,bhc->bc", w_close, close_preds)
+    pull = np.einsum("bc,bc->b", grad, p_live)
 
-    d_back = np.linalg.norm(p_live[:, None, :] - p_live[None, :, :], axis=2) / SQRT2
-    w_back = (1.0 - np.clip(d_back, 0.0, 1.0) ** gamma) * background_mask
-    push = lam * np.einsum("bm,mc,bc->b", w_back, p_live, p_live)
-    grad = grad + lam * np.einsum("bm,mc->bc", w_back, p_live)
-    return pull, push, grad
+    # d^2 / 2 = (|p_i|^2 + |p_j|^2) / 2 - p_i . p_j from the Gram matrix. Within
+    # the form's rounding error of 0 it is set to 0, so twins (the diagonal
+    # included) weigh exactly 1 for every gamma
+    half_norms = 0.5 * np.einsum("bc,bc->b", p_live, p_live)
+    scale = half_norms + half_norms[:, None]
+    half_sq = scale - p_live @ p_live.T
+    half_sq[half_sq <= 2 * (p_live.shape[1] + 1) * EPS * scale] = 0.0
+    w_back = (1.0 - np.minimum(half_sq, 1.0) ** (0.5 * gamma)) * background_mask
+    push_grad = lam * (w_back @ p_live)
+    return pull, np.einsum("bc,bc->b", push_grad, p_live), grad + push_grad
 
 
 def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
@@ -101,9 +112,10 @@ def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
     """
     if (state.last_update_iter[indices] >= iteration).any():
         raise ConfigError("EMA stamp must strictly increase for every batch sample")
-    state.q[indices] = delta * state.q[indices] + (1.0 - delta) * p_batch
+    rows = delta * state.q[indices] + (1.0 - delta) * p_batch
+    state.q[indices] = rows
     state.last_update_iter[indices] = iteration
-    return state.q[indices]
+    return rows
 
 
 def kl_regularizer_batch(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,9 +133,9 @@ def total_loss(pull_terms: np.ndarray, push_terms: np.ndarray,
     """Sum per-sample terms into a batch LossBreakdown with total included."""
     if eta < 0:
         raise ConfigError(f"eta must be >= 0, got {eta}")
-    pull = float(np.sum(pull_terms))
-    push = float(np.sum(push_terms))
-    reg = float(np.sum(reg_terms))
+    pull = float(pull_terms.sum())
+    push = float(push_terms.sum())
+    reg = float(reg_terms.sum())
     return LossBreakdown(
         l_ada_pull=pull,
         l_ada_push=push,

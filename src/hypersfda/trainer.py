@@ -35,7 +35,7 @@ from .model import (
     read_array,
     read_exact,
     read_header,
-    read_model_tensors,
+    read_params,
     sgd_step,
     write_arrays,
 )
@@ -137,11 +137,8 @@ def knn_safe_features(z: np.ndarray) -> np.ndarray:
     A sample whose adapter activations are all clipped to zero has no
     direction; such rows (rare) are grouped on a fixed constant vector.
     """
-    norms = np.linalg.norm(z, axis=1)
-    if (norms == 0).any():
-        z = z.copy()
-        z[norms == 0] = 1.0
-    return z
+    zero = np.einsum("ij,ij->i", z, z) == 0  # the zero test of the row norm, underflow too
+    return np.where(zero[:, None], 1.0, z) if zero.any() else z
 
 
 def refresh_hypergraph(
@@ -242,12 +239,40 @@ def evaluate(
 
 
 def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
-    """mask[i, m] marks batch member m as background for anchor i."""
+    """mask[i, m] marks batch member m as background for anchor i.
+
+    batch holds distinct sample ids. A slot table maps each id to its batch
+    position, and every other id to the spare column b, which is dropped.
+    """
     b = batch.size
-    in_close = (batch_clusters[:, None, :] == batch[None, :, None]).any(axis=2)
-    mask = ~in_close
+    slot = np.full(max(batch.max(), batch_clusters.max()) + 1, b)
+    slot[batch] = np.arange(b)
+    mask = np.ones((b, b + 1), dtype=bool)
+    mask[np.arange(b)[:, None], slot[batch_clusters]] = False
     mask[np.arange(b), np.arange(b)] = False
-    return mask
+    return mask[:, :b]
+
+
+def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig,
+                       resume_from: TrainerState | None = None) -> None:
+    """Raise ConfigError unless `adapt` can run these inputs, before any work or output."""
+    n = target.n
+    if model.dim != target.dim:
+        raise ConfigError(f"model expects dim {model.dim} but target has dim {target.dim}")
+    if n <= cfg.k - 1:
+        raise ConfigError(f"target needs more than k-1={cfg.k - 1} samples, got {n}")
+    if n <= cfg.h:
+        raise ConfigError(f"target needs more than h={cfg.h} samples, got {n}")
+    if resume_from is None:
+        return
+    if (held := resume_from.bank.features.shape[0]) != n:
+        raise ConfigError(f"checkpoint holds {held} target samples but the target has {n}")
+    if (h := resume_from.clusters.shape[1]) != cfg.h:
+        raise ConfigError(f"checkpoint was adapted with h={h} but the config has h={cfg.h}")
+    max_iter = cfg.epochs * iterations_per_epoch(n, cfg.batch_size)
+    if resume_from.iteration > max_iter:
+        raise ConfigError(f"checkpoint is at iteration {resume_from.iteration}, past "
+                          f"the run's end at {max_iter} ({cfg.epochs} epochs)")
 
 
 def adapt(
@@ -263,40 +288,18 @@ def adapt(
 
     `stop_after` limits how many iterations this call executes (for
     checkpoint/resume); `resume_from` continues a copy of a previous state
-    under the same config and target, leaving the caller's state as it was,
-    and must not lie past the run's last iteration.
-    On a non-finite loss or gradient the last good state is saved to
-    `abort_path` (when given) and TrainingAborted raises.
+    under the same config and target, leaving the caller's state as it was.
+    check_adapt_inputs refuses inputs the run cannot use.
+    On a non-finite loss, gradient or post-step output the last good state
+    is saved to `abort_path` (when given) and TrainingAborted raises.
     """
+    check_adapt_inputs(model, target, cfg, resume_from)
     n = target.n
-    if model.dim != target.dim:
-        raise ConfigError(
-            f"model expects dim {model.dim} but target has dim {target.dim}"
-        )
-    if n <= cfg.k - 1:
-        raise ConfigError(f"target needs more than k-1={cfg.k - 1} samples, got {n}")
-    if n <= cfg.h:
-        raise ConfigError(f"target needs more than h={cfg.h} samples, got {n}")
-
     per_epoch = iterations_per_epoch(n, cfg.batch_size)
     max_iter = cfg.epochs * per_epoch
 
     if resume_from is not None:
-        if resume_from.bank.features.shape[0] != n:
-            raise ConfigError(
-                f"checkpoint holds {resume_from.bank.features.shape[0]} target "
-                f"samples but the target has {n}"
-            )
-        if resume_from.clusters.shape[1] != cfg.h:
-            raise ConfigError(
-                f"checkpoint was adapted with h={resume_from.clusters.shape[1]} "
-                f"but the config has h={cfg.h}"
-            )
-        if resume_from.iteration > max_iter:
-            raise ConfigError(f"checkpoint is at iteration {resume_from.iteration}, past "
-                              f"the run's end at {max_iter} ({cfg.epochs} epochs)")
         state = copy.deepcopy(resume_from)
-        model = state.model
     else:
         _, bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
         state = TrainerState(
@@ -332,16 +335,16 @@ def adapt(
         lam = lambda_schedule(t, max_iter, cfg.beta)
         if batch.size > 0:
             x = target.features[batch]
-            # captured so an abort can rewind the in-place EMA update and
-            # checkpoint the exact pre-iteration state
-            q_prev = state.ema.q[batch].copy()
-            stamp_prev = state.ema.last_update_iter[batch].copy()
+            # copies (fancy indexing), so an abort can rewind the in-place
+            # EMA update and checkpoint the exact pre-iteration state
+            q_prev = state.ema.q[batch]
+            stamp_prev = state.ema.last_update_iter[batch]
             try:
                 z, p = forward(state.model, x)
-                close_preds = state.bank.predictions[state.clusters[batch]]
-                bg_mask = _background_mask(batch, state.clusters[batch])
+                batch_clusters = state.clusters[batch]
                 pull, push, grad_ada = adaptive_loss_batch(
-                    p, close_preds, bg_mask, cfg.gamma, lam
+                    p, state.bank.predictions[batch_clusters],
+                    _background_mask(batch, batch_clusters), cfg.gamma, lam
                 )
                 q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
                 reg_vals, grad_reg = kl_regularizer_batch(q_rows, p)
@@ -351,6 +354,9 @@ def adapt(
                 new_model, new_velocity = sgd_step(
                     state.model, grads, state.velocity, cfg.lr, cfg.momentum
                 )
+                z_post, p_post = forward(new_model, x)
+                if not (np.isfinite(z_post).all() and np.isfinite(p_post).all()):
+                    raise FloatingPointError("non-finite outputs after the step")
             except FloatingPointError as exc:
                 state.ema.q[batch] = q_prev
                 state.ema.last_update_iter[batch] = stamp_prev
@@ -363,7 +369,6 @@ def adapt(
                 ) from exc
             state.model = new_model
             state.velocity = new_velocity
-            z_post, p_post = forward(state.model, x)
             state.bank.features[batch] = knn_safe_features(z_post)
             state.bank.predictions[batch] = p_post
         else:
@@ -371,9 +376,9 @@ def adapt(
                 np.zeros(0), np.zeros(0), np.zeros(0), cfg.eta, lam
             )
 
-        snapshot = (evaluate(state.model, target, state.bank, cfg.h) if labeled
-                    else MetricsRecord(iteration=t))
-        record = replace(snapshot, iteration=t, **vars(breakdown))
+        record = (replace(evaluate(state.model, target, state.bank, cfg.h),
+                          iteration=t, **vars(breakdown)) if labeled
+                  else MetricsRecord(t, **vars(breakdown)))
         metrics.append(record)
         state.iteration = t + 1
         if iteration_callback is not None:
@@ -388,8 +393,7 @@ def save_checkpoint(state: TrainerState, path: str | Path) -> None:
     h = state.clusters.shape[1]
     with checkpoint_writer(path, CHECKPOINT_VERSION_TRAINER, state.model) as fh:
         fh.write(struct.pack("<IIqq", n, h, state.iteration, state.refreshed_at))
-        write_arrays(fh, state.velocity.tensors())
-        write_arrays(fh, [state.ema.q])
+        write_arrays(fh, [state.velocity.flat, state.ema.q])
         write_arrays(fh, [state.ema.last_update_iter], "<i8")
         write_arrays(fh, [state.bank.features, state.bank.predictions])
         write_arrays(fh, [state.clusters], "<i8")
@@ -405,17 +409,16 @@ def load_checkpoint(path: str | Path) -> TrainerState:
                 f"checkpoint version {version} has no trainer state; expected "
                 f"{CHECKPOINT_VERSION_TRAINER}"
             )
-        model = read_model_tensors(fh, d, d_z, c)
+        model = read_params(fh, d, d_z, c)
         head = read_exact(fh, struct.calcsize("<IIqq"), "trainer header")
         n, h, iteration, refreshed_at = struct.unpack("<IIqq", head)
         if not 0 <= refreshed_at <= iteration:
             raise CheckpointError(f"refresh iteration {refreshed_at} outside [0, {iteration}]")
-        velocity = read_model_tensors(fh, d, d_z, c, GradientSet)
+        velocity = read_params(fh, d, d_z, c, GradientSet)
         q = read_array(fh, "<f8", (n, c), "EMA state")
         stamps = read_array(fh, "<i8", (n,), "EMA stamps")
-        # an aborted run's bank may hold the non-finite outputs of its last step
-        bank_feats = read_array(fh, "<f8", (n, d_z), "bank features", finite=False)
-        bank_preds = read_array(fh, "<f8", (n, c), "bank predictions", finite=False)
+        bank_feats = read_array(fh, "<f8", (n, d_z), "bank features")
+        bank_preds = read_array(fh, "<f8", (n, c), "bank predictions")
         clusters = read_array(fh, "<i8", (n, h), "clusters")
         if ((clusters < 0) | (clusters >= n)).any():
             raise CheckpointError(f"cluster indices outside [0, {n})")

@@ -319,6 +319,46 @@ def adaptive_loss(
     return pull, push, grad
 
 
+def ref_backward(model, batch_x: np.ndarray, z: np.ndarray, p: np.ndarray,
+                 upstream: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-tensor gradients (dW_f, db_f, dW_g, db_g), each a fresh array."""
+    dlogits = p * (upstream - (upstream * p).sum(axis=1, keepdims=True))
+    dz = (dlogits @ model.W_g.T) * (z > 0)
+    return batch_x.T @ dz, dz.sum(axis=0), z.T @ dlogits, dlogits.sum(axis=0)
+
+
+def ref_sgd_step(model, grads, velocity, lr: float,
+                 momentum: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-tensor momentum step: (new parameter tensors, new velocity tensors)."""
+    new_v = [momentum * v + g for g, v in zip(grads.tensors(), velocity.tensors())]
+    return [t - lr * v for t, v in zip(model.tensors(), new_v)], new_v
+
+
+def ref_adaptive_loss_batch(p_live: np.ndarray, close_preds: np.ndarray,
+                            background_mask: np.ndarray, gamma: float,
+                            lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch loss with explicit (b, h, C) and (b, b, C) difference tensors."""
+    d_close = np.linalg.norm(close_preds - p_live[:, None, :], axis=2) / SQRT2
+    w_close = 1.0 - np.clip(d_close, 0.0, 1.0) ** gamma
+    pull = -np.einsum("bh,bhc,bc->b", w_close, close_preds, p_live)
+    grad = -np.einsum("bh,bhc->bc", w_close, close_preds)
+
+    d_back = np.linalg.norm(p_live[:, None, :] - p_live[None, :, :], axis=2) / SQRT2
+    w_back = (1.0 - np.clip(d_back, 0.0, 1.0) ** gamma) * background_mask
+    push = lam * np.einsum("bm,mc,bc->b", w_back, p_live, p_live)
+    grad = grad + lam * np.einsum("bm,mc->bc", w_back, p_live)
+    return pull, push, grad
+
+
+def ref_background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
+    """mask[i, m]: batch member m is neither anchor i nor in i's close set."""
+    b = batch.size
+    in_close = (batch_clusters[:, None, :] == batch[None, :, None]).any(axis=2)
+    mask = ~in_close
+    mask[np.arange(b), np.arange(b)] = False
+    return mask
+
+
 def ema_update(state: EmaState, sample_index: int, p_current: np.ndarray,
                delta: float, iteration: int) -> np.ndarray:
     """q_i <- delta*q_i + (1-delta)*p_i, stamping the update iteration."""

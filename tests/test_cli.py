@@ -322,6 +322,27 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert "h=3" in err and "Traceback" not in err
 
+    def test_refused_run_leaves_previous_outputs_alone(self, workspace, tmp_path, capsys):
+        args = ["adapt", "--model", workspace / "source_model.ckpt",
+                "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0",
+                "--out", tmp_path, "--quiet"]
+        assert run_cli(*args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run_cli(*args, "--k", "700") == 2
+        assert "k-1=699" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_state_resumes(self, workspace, tmp_path):
+        args = ["adapt", "--model", workspace / "source_model.ckpt",
+                "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0", "--quiet"]
+        assert run_cli(*args, "--lr", "1e300", "--out", tmp_path / "bad") == 3
+        saved = load_checkpoint(tmp_path / "bad" / "adapted.ckpt")
+        assert np.isfinite(saved.bank.predictions).all()
+        assert run_cli(*args, "--resume", tmp_path / "bad" / "adapted.ckpt",
+                       "--out", tmp_path / "good") == 0
+        assert load_checkpoint(tmp_path / "good" / "adapted.ckpt").iteration == 4
+
     # the stream already in --out: the whole run's, or its first two records
     # and a line cut short
     @pytest.mark.parametrize("cut", [None, 20])
@@ -385,10 +406,12 @@ class TestAdapt:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_completed_records(self, workspace, tmp_path, capsys):
+        # 1e300 now aborts at iteration 0, on the post-step outputs; this rate
+        # keeps iteration 0 finite and overflows at iteration 1
         assert run_cli(
             "adapt", "--model", workspace / "source_model.ckpt",
             "--target", workspace / "target.csv", *ADAPT_FLAGS,
-            "--lr", "1e300", "--seed", "0", "--out", tmp_path, "--quiet",
+            "--lr", "2.5e152", "--seed", "0", "--out", tmp_path, "--quiet",
         ) == 3
         aborted = load_checkpoint(tmp_path / "adapted.ckpt").iteration
         assert aborted >= 1

@@ -160,6 +160,20 @@ class TestNearest:
             _nearest(comp[:, :2], offset, 3)
 
 
+    @given(st.integers(0, 10_000))
+    def test_byte_view_twins_match_row_unique(self, seed):
+        rng = rng_for(105, seed)
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        points = rng.integers(-2, 3, (n, d)) * rng.choice([1.0, 0.5], (n, d))
+        points[rng.uniform(size=(n, d)) < 0.3] = -0.0  # -0.0 and 0.0 are twins
+        rows, first, inverse = np.unique(points, axis=0, return_index=True,
+                                         return_inverse=True)
+        _, b_first, b_inverse = np.unique(hypergraph._row_bytes(points), return_index=True,
+                                          return_inverse=True)
+        assert np.array_equal(first[inverse.ravel()], b_first[b_inverse])
+        assert b_first.size == rows.shape[0]
+
+
 class TestAffinitySolver:
     def test_nonnegativity_exact_and_kkt(self):
         for index in range(40):

@@ -22,7 +22,7 @@ from hypersfda import (
 )
 from hypersfda.model import smoothed_cross_entropy, softmax
 
-from helpers import central_difference, rng_for
+from helpers import central_difference, ref_backward, ref_sgd_step, rng_for
 
 
 def tiny_model(seed=0, dim=3, classes=3, d_z=None):
@@ -222,3 +222,88 @@ class TestModelPersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError):
             load_model(path)
+
+
+class TestFlatParameters:
+    def test_views_share_one_vector_in_tensor_order(self):
+        m = tiny_model(seed=3, dim=4, classes=3, d_z=5)
+        assert m.flat.flags.c_contiguous and m.flat.dtype == np.float64
+        assert np.array_equal(m.flat, np.concatenate([t.ravel() for t in m.tensors()]))
+        for t in m.tensors():
+            assert np.shares_memory(t, m.flat)
+
+    def test_model_views_are_read_only(self):
+        m = tiny_model()
+        for t in (m.flat, *m.tensors()):
+            with pytest.raises(ValueError):
+                t[...] = 0.0
+
+    def test_building_leaves_caller_arrays_alone(self):
+        tensors = [np.ones((3, 2)), np.zeros(2), np.ones((2, 3)), np.zeros(3)]
+        m = AdaptModel(*tensors)
+        assert all(t.flags.writeable for t in tensors)
+        tensors[0][0, 0] = 5.0
+        assert m.W_f[0, 0] == 1.0
+
+    def test_gradient_set_shape_checked_and_writable(self):
+        with pytest.raises(ConfigError):
+            GradientSet(np.ones((3, 2)), np.ones(3), np.ones((2, 3)), np.ones(3))
+        g = GradientSet.zeros_like(tiny_model())
+        g.W_g[0, 0] = 2.0
+        assert g.flat.sum() == 2.0
+
+    def test_deepcopy_views_point_into_own_vector(self):
+        import copy
+
+        m = tiny_model(seed=2)
+        g = GradientSet(*[np.ones_like(t) for t in m.tensors()])
+        for params in (m, g):
+            dup = copy.deepcopy(params)
+            assert not np.shares_memory(dup.flat, params.flat)
+            for t, orig in zip(dup.tensors(), params.tensors()):
+                assert np.shares_memory(t, dup.flat) and np.array_equal(t, orig)
+        assert not copy.deepcopy(m).flat.flags.writeable
+
+
+class TestStepMatchesPerTensorOracles:
+    @pytest.mark.parametrize("dims", [(3, 3, 2), (5, 7, 3), (8, 9, 3), (128, 128, 10)])
+    def test_backward_bitwise(self, dims):
+        d, d_z, c = dims
+        rng = rng_for(91, d, d_z)
+        m = init_model(d, c, seed=d_z, d_z=d_z)
+        x = rng.standard_normal((17, d))
+        z, p = forward(m, x)
+        upstream = rng.standard_normal(p.shape)
+        grads = backward(m, x, z, p, upstream)
+        for got, want in zip(grads.tensors(), ref_backward(m, x, z, p, upstream)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(lr=st.floats(1e-5, 10.0), momentum=st.floats(0.0, 0.99), seed=st.integers(0, 99))
+    def test_sgd_step_bitwise(self, lr, momentum, seed):
+        rng = rng_for(92, seed)
+        m = tiny_model(seed=seed, dim=4, d_z=5)
+        g = GradientSet(*[rng.standard_normal(t.shape) for t in m.tensors()])
+        v = GradientSet(*[rng.standard_normal(t.shape) for t in m.tensors()])
+        new_m, new_v = sgd_step(m, g, v, lr, momentum)
+        want_m, want_v = ref_sgd_step(m, g, v, lr, momentum)
+        for got, want in zip((*new_m.tensors(), *new_v.tensors()), (*want_m, *want_v)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_parameters_name_the_tensor(self):
+        m = tiny_model()
+        tensors = [np.zeros_like(t) for t in m.tensors()]
+        tensors[1][0] = 1e308
+        with pytest.raises(FloatingPointError, match="non-finite values in b_f"):
+            sgd_step(m, GradientSet(*tensors), GradientSet.zeros_like(m), 10.0, 0.0)
+
+
+class TestCheckpointFormat:
+    def test_model_checkpoint_bytes_unchanged(self, tmp_path):
+        # the digest of the four tensors written one after another, as
+        # before the parameters became one vector
+        import hashlib
+
+        save_model(init_model(6, 3, seed=4, d_z=5), tmp_path / "m.ckpt")
+        assert hashlib.sha256((tmp_path / "m.ckpt").read_bytes()).hexdigest() == (
+            "83f129d229084db2ecbe5b64549953b959be8830494a93dcc8445434510a10f0")

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from hypersfda import AdaptConfig, ConfigError, EmaState, LossBreakdown, lambda_schedule
 from hypersfda.objective import (
-    SQRT2,
     adaptive_loss_batch,
     ema_update_batch,
     kl_regularizer_batch,
@@ -12,11 +11,13 @@ from hypersfda.objective import (
 )
 
 from helpers import (
+    SQRT2,
     adaptive_loss,
     central_difference,
     ema_update,
     kl_regularizer,
     prediction_distance,
+    ref_adaptive_loss_batch,
     rng_for,
 )
 
@@ -214,6 +215,24 @@ class TestAdaptiveLoss:
         mask = ~np.eye(b, dtype=bool)
         pull, push, _ = adaptive_loss_batch(p_live, close, mask, 2.0, 0.3)
         assert (pull < 0).all() and (push >= 0).all()
+
+
+    @given(st.integers(0, 10_000))
+    def test_gram_form_matches_difference_oracle(self, seed):
+        rng = rng_for(77, seed)
+        b, h, c = int(rng.integers(1, 40)), int(rng.integers(1, 6)), int(rng.integers(2, 12))
+        p_live = rand_simplex(rng, b, c)
+        if seed % 2:  # duplicate rows: zero distances that the Gram form must not make negative
+            p_live[rng.integers(0, b, b // 2)] = p_live[0]
+        close = rand_simplex(rng, b, h, c)
+        close[:, 0] = p_live  # a close-set member equal to its anchor
+        mask = rng.uniform(size=(b, b)) < 0.7
+        np.fill_diagonal(mask, False)
+        gamma, lam = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.0, 1.0))
+        got = adaptive_loss_batch(p_live, close, mask, gamma, lam)
+        want = ref_adaptive_loss_batch(p_live, close, mask, gamma, lam)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12
 
 
 class TestKlRegularizer:

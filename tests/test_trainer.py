@@ -6,7 +6,9 @@ from hypersfda import (
     AdaptModel,
     CheckpointError,
     ConfigError,
+    EmaState,
     EmbeddingDataset,
+    GradientSet,
     MemoryBank,
     ShiftSpec,
     TrainingAborted,
@@ -26,6 +28,7 @@ from hypersfda import (
 )
 from hypersfda.hypergraph import normalized_entropy
 from hypersfda.trainer import (
+    TrainerState,
     _background_mask,
     epoch_permutation,
     iterations_per_epoch,
@@ -33,7 +36,12 @@ from hypersfda.trainer import (
     refresh_hypergraph,
 )
 
-from helpers import exhaustive_threshold_split, make_bimodal_predictions, rng_for
+from helpers import (
+    exhaustive_threshold_split,
+    make_bimodal_predictions,
+    ref_background_mask,
+    rng_for,
+)
 
 QUICK = dict(k=4, h=3, m_prime=4, batch_size=32, epochs=2, t_in=2)
 
@@ -231,6 +239,24 @@ class TestBackgroundMask:
         assert not mask.diagonal().any()
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_oracle(self, seed):
+        rng = rng_for(82, seed)
+        n, h = int(rng.integers(2, 80)), int(rng.integers(1, 6))
+        clusters = rng.integers(0, n, (n, h))
+        batch = rng.permutation(n)[:int(rng.integers(1, min(n, 40) + 1))]
+        if seed % 2:  # an open-set run drops unknown samples from the batch
+            known = rng.uniform(size=n) < 0.6
+            batch = batch[known[batch]]
+            if batch.size == 0:
+                return
+        if seed % 3 == 0:  # close sets made of batch members
+            clusters[batch] = rng.choice(batch, (batch.size, h))
+        mask = _background_mask(batch, clusters[batch])
+        assert mask.dtype == bool
+        assert np.array_equal(mask, ref_background_mask(batch, clusters[batch]))
+
+
 class TestAdaptRun:
     def test_unlabeled_metrics_stream(self):
         model, tgt = small_problem(labeled=False)
@@ -366,6 +392,38 @@ class TestAdaptRun:
             save_checkpoint(state, tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_resumed_state_copies_keep_views_on_own_vector(self, tmp_path):
+        import copy
+
+        model, tgt = small_problem()
+        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=2)
+        save_checkpoint(state, tmp_path / "mid.ckpt")
+        loaded = load_checkpoint(tmp_path / "mid.ckpt")
+        dup = copy.deepcopy(loaded)
+        for params, orig in ((dup.model, loaded.model), (dup.velocity, loaded.velocity)):
+            assert not np.shares_memory(params.flat, orig.flat)
+            for t in params.tensors():
+                assert np.shares_memory(t, params.flat)
+        dup.velocity.W_f[0, 0] += 1.0
+        assert dup.velocity.flat[0] == loaded.velocity.flat[0] + 1.0
+
+    def test_trainer_checkpoint_bytes_unchanged(self, tmp_path):
+        # a fixed state, laid out tensor by tensor as before the parameters
+        # became one vector
+        import hashlib
+
+        model = init_model(6, 3, seed=4, d_z=5)
+        rng = np.random.default_rng(5)
+        velocity = GradientSet(*[rng.standard_normal(t.shape) for t in model.tensors()])
+        preds = rng.random((7, 3))
+        preds /= preds.sum(1, keepdims=True)
+        state = TrainerState(model, velocity, EmaState(rng.random((7, 3)), np.arange(7) - 1),
+                             MemoryBank(rng.random((7, 5)), preds), rng.integers(0, 7, (7, 2)),
+                             np.arange(7) % 3 > 0, 9, 8)
+        save_checkpoint(state, tmp_path / "t.ckpt")
+        assert hashlib.sha256((tmp_path / "t.ckpt").read_bytes()).hexdigest() == (
+            "a90f9425dbed2a786011d3f418b07a2ede90534783a563692d82c995efdc7ac5")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_aborts_with_checkpoint(self, tmp_path):
