@@ -21,6 +21,7 @@ from .datagen import (
 )
 from .hypergraph import (
     HypergraphArtifacts,
+    RelationMatrix,
     build_artifacts,
     build_hyperedges,
     build_relation_matrix,
@@ -75,6 +76,7 @@ __all__ = [
     "LossBreakdown",
     "MemoryBank",
     "MetricsRecord",
+    "RelationMatrix",
     "ShiftSpec",
     "TrainerState",
     "TrainingAborted",

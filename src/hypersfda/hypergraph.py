@@ -10,17 +10,23 @@ neighbors by cosine similarity of adapter features. Over n samples:
 - selfloops (n,): exp of the normalized entropy of edge i's mean neighbor
   prediction, in [1, e]. The merge adds each member's own self-loop.
 
-The merged affinities fill the sparse node-by-edge relation matrix H
-(column j holds edge j's affinities at its members), whose rows,
-compressed by PCA, define each node's high-order cluster. Every function
-here is pure: no input is modified.
+The merged affinities are the entries of the node-by-edge relation
+matrix H, held as the array pair it is (RelationMatrix): members (n, k),
+edge j's anchor then its neighbors, and values (n, k), their merged
+affinities, so column j holds values[j] at rows members[j]. The rows of
+H, compressed by PCA, define each node's high-order cluster; pca_rows
+runs Lanczos with full reorthogonalization on the centred covariance
+through H's two products, and stops when every top-m' Ritz pair's
+residual bound is below PCA_TOL relative to the largest Ritz value, or
+when the Krylov basis spans all n dimensions. A breakdown (an invariant
+subspace) restarts from a fresh seeded vector. Only numpy is needed.
+Every function here is pure: no input is modified.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import ConfigError, seeded_rng
 
@@ -28,7 +34,7 @@ SOLVER_MAX_ITER = 10_000
 SOLVER_STEP_TOL = 1e-8
 SOLVER_KKT_TOL = 1e-6
 PCA_TOL = 1e-8
-PCA_MAX_ITER = 5000
+PCA_BLOCK = 64
 ACTIVE_TOL = 1e-10
 NEIGHBOR_BLOCK = 64
 
@@ -260,70 +266,108 @@ def merge_self_loops(neighbors: np.ndarray, affinity: np.ndarray,
     return affinity + selfloops[_members(neighbors)]
 
 
-def build_relation_matrix(neighbors: np.ndarray, affinity: np.ndarray) -> sp.csc_array:
-    """Sparse n x n matrix H: column j holds edge j's affinities at its members."""
-    n, k = affinity.shape
-    rows = _members(neighbors).ravel()
-    cols = np.repeat(np.arange(n), k)
-    return sp.csc_array((affinity.ravel(), (rows, cols)), shape=(n, n))
+@dataclass(frozen=True)
+class RelationMatrix:
+    """The n x n relation matrix H: column j holds values[j] at rows members[j].
 
-
-def _center_matvec(H, mu: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(Xc^T Xc) v for a block of columns v, covariance never materialized."""
-    n = H.shape[0]
-    return H.T @ (H @ v) - n * mu[:, None] * (mu @ v)[None, :]
-
-
-def pca_rows(H, m_prime: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-m' principal components of the rows of H by orthogonal iteration.
-
-    Deterministic: seeded random start, iterate V <- qr(C @ V) until the
-    spanned subspace moves less than PCA_TOL per sweep (or stops shrinking),
-    then a Rayleigh-Ritz rotation orders components by decreasing
-    eigenvalue. Sign convention: each component's largest-magnitude
-    coordinate is positive. Returns (compressed rows (n, m'), components
-    (n, m'), eigenvalues).
+    Each column's rows are distinct. H is never held dense: its two
+    products cost O(n k) each, a scatter (bincount) and a gather.
     """
-    n = H.shape[0]
+
+    members: np.ndarray  # (n, k) rows of column j: anchor j, then its neighbors
+    values: np.ndarray  # (n, k) the entries of column j at those rows
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """H @ v for one vector v."""
+        return np.bincount(self.members.ravel(), (self.values * v[:, None]).ravel(), len(v))
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """H.T @ y for one vector y."""
+        return np.einsum("jk,jk->j", self.values, y[self.members])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros((len(self.members),) * 2)
+        dense[self.members, np.arange(len(self.members))[:, None]] = self.values
+        return dense
+
+
+def build_relation_matrix(neighbors: np.ndarray, affinity: np.ndarray) -> RelationMatrix:
+    """H over n nodes: column j holds edge j's affinities at its members."""
+    return RelationMatrix(_members(neighbors), affinity)
+
+
+def _orthogonalize(blocks: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """w minus its projection on the orthonormal rows of blocks, block by block.
+
+    A second pass runs when the first removed more than 30% of the norm,
+    which leaves w orthogonal to working precision ("twice is enough").
+    """
+    before = np.linalg.norm(w)
+    for _ in range(2):
+        for block in blocks:
+            w = w - (block @ w) @ block
+        if np.linalg.norm(w) >= 0.7 * before:
+            break
+    return w
+
+
+def pca_rows(H: RelationMatrix, m_prime: int,
+             seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-m' principal components of the rows of H, by Lanczos.
+
+    The covariance C = Xc^T Xc of the centred rows Xc = H - 1 mu^T is
+    applied as H^T (H v) - n mu (mu . v), never formed. Lanczos builds an
+    orthonormal Krylov basis of C from a seeded random start, each new
+    vector reorthogonalized against the whole basis (_orthogonalize). The
+    basis lives in row blocks of PCA_BLOCK vectors, so memory grows with
+    the steps taken, never to n x n. From step 2m' on, every
+    max(10, s // 8) steps, the s x s tridiagonal T is diagonalized; the
+    run stops when the residual bound |beta_s S[s-1, i]| of each of the top
+    m' Ritz pairs is at most PCA_TOL * theta_1, or when the basis spans all
+    n dimensions. Both exits are exact. A breakdown (beta at most PCA_TOL
+    times the largest coefficient so far: an invariant subspace, as with
+    repeated eigenvalues) sets beta to 0 and restarts from a fresh vector
+    of the same generator, orthogonalized against the basis. A non-finite
+    coefficient raises FloatingPointError. Components come in decreasing
+    Ritz-value order; each one's largest-magnitude coordinate is positive.
+    Returns (compressed rows (n, m'), components (n, m'), eigenvalues >= 0).
+    """
+    n = len(H.members)
     if not 1 <= m_prime < n:
         raise ConfigError(f"need 1 <= m_prime < n, got m_prime={m_prime}, n={n}")
-    mu = np.asarray(H.mean(axis=0)).ravel()
+    mu = H.values.sum(axis=1) / n  # column means
+    rng = seeded_rng(seed, 41)
+    blocks, alphas, betas = [], [], [0.0]  # beta_0 = 0; T's off-diagonal is betas[1:-1]
+    q, breakdown, largest, check = np.zeros(n), True, 0.0, 2 * m_prime
+    for s in range(1, n + 1):
+        if breakdown:  # the start, or an invariant subspace found
+            w = _orthogonalize(blocks, rng.standard_normal(n))
+        q_prev, q = q, w / np.linalg.norm(w)
+        if (s - 1) % PCA_BLOCK == 0:
+            blocks.append(np.zeros((PCA_BLOCK, n)))
+        blocks[-1][(s - 1) % PCA_BLOCK] = q
+        w = H.rmatvec(H.matvec(q)) - (n * (mu @ q)) * mu - betas[-1] * q_prev
+        alphas.append(float(q @ w))
+        w = _orthogonalize(blocks, w - alphas[-1] * q)
+        beta = float(np.linalg.norm(w))
+        if not np.isfinite(alphas[-1] + beta):
+            raise FloatingPointError(f"non-finite Lanczos coefficient at step {s}")
+        largest = max(largest, abs(alphas[-1]), beta)
+        breakdown = beta <= PCA_TOL * largest
+        betas.append(0.0 if breakdown else beta)
+        if s >= check or s == n:
+            # eigh reads the lower triangle only
+            theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], -1))
+            top = np.argsort(theta, kind="stable")[::-1][:m_prime]
+            if s == n or (np.abs(betas[-1] * S[-1, top]) <= PCA_TOL * theta[top[0]]).all():
+                break
+            check = s + max(10, s // 8)
 
-    v, _ = np.linalg.qr(seeded_rng(seed, 41).standard_normal((n, m_prime)))
-    prev_err = np.inf
-    stalled = 0
-    # several covariance applications per orthogonalization: same fixed
-    # point, fewer of the QR factorizations that dominate the cost
-    chain = 5
-    for _ in range(PCA_MAX_ITER):
-        y = _center_matvec(H, mu, v)
-        for _ in range(chain - 1):
-            y = _center_matvec(H, mu, y)
-        v_new, _ = np.linalg.qr(y)
-        err = np.linalg.norm(v_new - v @ (v.T @ v_new))
-        v = v_new
-        if err < PCA_TOL:
-            break
-        # secondary stop: subspace error has stopped shrinking, which
-        # happens when trailing eigenvalues are nearly tied and the split
-        # between kept and dropped directions cannot settle
-        stalled = stalled + 1 if err >= 0.9 * prev_err else 0
-        if stalled >= 3:
-            break
-        prev_err = err
-
-    small = v.T @ _center_matvec(H, mu, v)
-    small = (small + small.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(small)
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    components = v @ eigvecs[:, order]
-    for col in range(m_prime):
-        peak = np.argmax(np.abs(components[:, col]))
-        if components[peak, col] < 0:
-            components[:, col] = -components[:, col]
-    compressed = (H @ components) - mu @ components
-    return compressed, components, eigvals
+    ritz = np.vstack((S[:, top], np.zeros((-s % PCA_BLOCK, m_prime))))
+    components = sum(b.T @ r for b, r in zip(blocks, np.split(ritz, len(blocks))))
+    components *= np.sign(components[np.abs(components).argmax(axis=0), np.arange(m_prime)])
+    compressed = np.column_stack([H.matvec(c) for c in components.T]) - mu @ components
+    return compressed, components, np.maximum(theta[top], 0.0)
 
 
 def default_m_prime(n: int) -> int:
@@ -349,7 +393,7 @@ class HypergraphArtifacts:
     affinity: np.ndarray  # (n, k), the entries of H; self-loops merged in when used
     converged: np.ndarray  # (n,) bool, per-edge affinity solve met its tolerance
     selfloops: np.ndarray | None  # (n,) in [1, e]; None without self-loops
-    relation: sp.csc_array  # H, (n, n) with k*n nonzeros
+    relation: RelationMatrix  # H, (n, n) with k*n entries
     compressed: np.ndarray  # (n, m'), rows of H after PCA
     clusters: np.ndarray  # (n, h) close-set indices
 

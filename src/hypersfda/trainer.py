@@ -50,7 +50,7 @@ from .objective import (
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a non-finite loss or gradient stops the run."""
+    """Raised when a non-finite loss or gradient, or an overflowing refresh, stops the run."""
 
     def __init__(self, message: str, iteration: int, checkpoint_path: Path | None):
         super().__init__(message)
@@ -149,9 +149,13 @@ def refresh_hypergraph(
     With high_order disabled the hypergraph is skipped entirely and close
     sets fall back to plain cosine neighbors of the adapter features. The
     known mask is all-true, or in open-set mode False on the unknown set
-    of open_set_split.
+    of open_set_split. Model outputs that overflow (a feature's squared
+    norm, or a prediction), and a PCA whose coefficients are not finite,
+    raise FloatingPointError.
     """
     z, p = forward(model, target.features)
+    if not (np.isfinite(np.einsum("ij,ij->i", z, z)).all() and np.isfinite(p).all()):
+        raise FloatingPointError("model outputs on the target overflow")
     z = knn_safe_features(z)
     if cfg.high_order:
         artifacts = build_artifacts(
@@ -275,6 +279,15 @@ def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptCo
                           f"the run's end at {max_iter} ({cfg.epochs} epochs)")
 
 
+def _aborted(state: TrainerState, t: int, abort_path: str | Path | None,
+             exc: FloatingPointError) -> TrainingAborted:
+    """The abort of iteration t, after saving state to abort_path when given."""
+    saved = None if abort_path is None else Path(abort_path)
+    if saved is not None:
+        save_checkpoint(state, saved)
+    return TrainingAborted(f"aborted at iteration {t}: {exc}", t, saved)
+
+
 def adapt(
     model: AdaptModel,
     target: EmbeddingDataset,
@@ -290,8 +303,10 @@ def adapt(
     checkpoint/resume); `resume_from` continues a copy of a previous state
     under the same config and target, leaving the caller's state as it was.
     check_adapt_inputs refuses inputs the run cannot use.
-    On a non-finite loss, gradient or post-step output the last good state
-    is saved to `abort_path` (when given) and TrainingAborted raises.
+    On a non-finite loss, gradient or post-step output, or a refresh that
+    overflows, the last good state is saved to `abort_path` (when given)
+    and TrainingAborted raises. A first refresh that overflows raises
+    ConfigError: the model given is at fault.
     """
     check_adapt_inputs(model, target, cfg, resume_from)
     n = target.n
@@ -301,7 +316,10 @@ def adapt(
     if resume_from is not None:
         state = copy.deepcopy(resume_from)
     else:
-        _, bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
+        try:
+            _, bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
+        except FloatingPointError as exc:  # the caller's model, not a diverged run
+            raise ConfigError(str(exc)) from exc
         state = TrainerState(
             model=model,
             velocity=GradientSet.zeros_like(model),
@@ -322,8 +340,11 @@ def adapt(
         # iteration 0's refresh happens at state construction; afterwards a
         # refresh is due whenever t hits the interval and was not already done
         if t % cfg.t_in == 0 and t != state.refreshed_at:
-            _, state.bank, state.clusters, state.known_mask = refresh_hypergraph(
-                state.model, target, cfg)
+            try:
+                _, state.bank, state.clusters, state.known_mask = refresh_hypergraph(
+                    state.model, target, cfg)
+            except FloatingPointError as exc:
+                raise _aborted(state, t, abort_path, exc) from exc
             state.refreshed_at = t
 
         epoch, pos = divmod(t, per_epoch)
@@ -360,13 +381,7 @@ def adapt(
             except FloatingPointError as exc:
                 state.ema.q[batch] = q_prev
                 state.ema.last_update_iter[batch] = stamp_prev
-                saved = None
-                if abort_path is not None:
-                    saved = Path(abort_path)
-                    save_checkpoint(state, saved)
-                raise TrainingAborted(
-                    f"aborted at iteration {t}: {exc}", t, saved
-                ) from exc
+                raise _aborted(state, t, abort_path, exc) from exc
             state.model = new_model
             state.velocity = new_velocity
             state.bank.features[batch] = knn_safe_features(z_post)

@@ -14,12 +14,18 @@ import argparse
 
 import numpy as np
 
-from hypersfda import ConfigError, EmaState
+from hypersfda import ConfigError, EmaState, RelationMatrix
 from hypersfda.hypergraph import SOLVER_KKT_TOL, SOLVER_STEP_TOL, _batch_kkt_residual
 
 
 def rng_for(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def dense_relation(X: np.ndarray) -> RelationMatrix:
+    """A dense square X as a relation matrix: column j holds X[:, j] at rows arange(n)."""
+    n = X.shape[0]
+    return RelationMatrix(np.tile(np.arange(n), (n, 1)), np.ascontiguousarray(X.T))
 
 
 # ---------------------------------------------------------------------------

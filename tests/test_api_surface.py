@@ -1,13 +1,17 @@
-"""Names that code outside the package reaches by string.
+"""Names that code outside the package reaches by string, and what it imports.
 
 The benchmark's traced run wraps engine functions listed by name in
 `bench/workloads.py`, and its cli workload passes flags to the CLI from
 `bench/rep.py`; a renamed or deleted function or flag fails every
-repetition but no other test. `hypersfda.__all__` is the public API.
+repetition but no other test. `hypersfda.__all__` is the public API. The
+engine needs numpy alone; scipy is a test dependency.
 """
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hypersfda
@@ -58,3 +62,29 @@ def test_benchmark_cli_flags_are_registered():
                 passed["adapt"].update(f"--{key.replace('_', '-')}" for key in adapt)
     missing = {cmd: flags - cli_options(cmd) for cmd, flags in passed.items()}
     assert not any(missing.values()), missing
+
+
+NO_SCIPY_RUN = """
+import sys
+import numpy as np
+import hypersfda
+import hypersfda.cli
+from hypersfda import trainer
+
+refreshes = []
+refresh = trainer.refresh_hypergraph
+trainer.refresh_hypergraph = lambda *args: refreshes.append(1) or refresh(*args)
+target = hypersfda.EmbeddingDataset(
+    np.random.default_rng(0).standard_normal((40, 4)), None, "target", 3)
+cfg = hypersfda.AdaptConfig(k=4, h=2, m_prime=3, batch_size=16, epochs=2, t_in=2)
+hypersfda.adapt(hypersfda.init_model(4, 3, seed=0), target, cfg)
+print(len(refreshes), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_engine_runs_without_scipy():
+    src = str(Path(hypersfda.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120)
+    assert out.stdout == "3 []\n"

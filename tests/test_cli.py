@@ -421,6 +421,22 @@ class TestAdapt:
         manifest = json.loads((tmp_path / "adapt_manifest.json").read_text())
         assert manifest["finished_at"] == ""
 
+    # steps at these rates leave finite weights whose outputs overflow the
+    # iteration-2 refresh: in its PCA (the first two) or in the features
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", ["9e151", "1e152", "1.1e152", "1.3e152"])
+    def test_divergence_at_a_refresh_exits_3_and_saves_state(
+            self, workspace, tmp_path, capsys, lr):
+        assert run_cli(
+            "adapt", "--model", workspace / "source_model.ckpt",
+            "--target", workspace / "target.csv", *ADAPT_FLAGS,
+            "--lr", lr, "--seed", "0", "--out", tmp_path, "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert "aborted at iteration 2:" in err and "Traceback" not in err
+        saved = load_checkpoint(tmp_path / "adapted.ckpt")
+        assert saved.iteration == 2 and saved.refreshed_at == 0
+
 
 class TestEval:
     def test_reports_metrics_json(self, workspace, capsys):

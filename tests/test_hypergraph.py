@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from hypersfda import (
     ConfigError,
+    RelationMatrix,
     build_artifacts,
     build_hyperedges,
     build_relation_matrix,
@@ -27,6 +28,7 @@ from hypersfda.hypergraph import (
 )
 
 from helpers import (
+    dense_relation,
     nnls_objective,
     ref_cosine_knn,
     ref_kkt_residual,
@@ -346,9 +348,9 @@ class TestRelationMatrix:
         neighbors, affinity, _ = build_hyperedges(feats, k=5, alpha=2.0)
         loops = self_loop_affinities(neighbors, preds)
         H = build_relation_matrix(neighbors, merge_self_loops(neighbors, affinity, loops))
-        assert H.shape == (25, 25)
-        assert H.nnz == 5 * 25
         dense = H.toarray()
+        assert dense.shape == (25, 25)
+        assert np.count_nonzero(dense) == 5 * 25
         for j in range(25):
             members = {j, *neighbors[j].tolist()}
             assert set(np.nonzero(dense[:, j])[0].tolist()) == members
@@ -366,7 +368,7 @@ class TestPcaRows:
     def test_matches_dense_eigh_small(self):
         rng = rng_for(408)
         X = rng.standard_normal((12, 12))
-        comp, components, eigvals = pca_rows(X, 5, seed=3)
+        comp, components, eigvals = pca_rows(dense_relation(X), 5, seed=3)
         assert components.shape == (12, 5)
         assert np.allclose(components.T @ components, np.eye(5), atol=1e-8)
         assert (np.diff(eigvals) <= 1e-9).all() and (eigvals >= 0).all()
@@ -383,7 +385,7 @@ class TestPcaRows:
     def test_full_rank_compression_preserves_distances(self):
         rng = rng_for(409)
         X = rng.standard_normal((8, 8))
-        comp, _, _ = pca_rows(X, 7, seed=0)
+        comp, _, _ = pca_rows(dense_relation(X), 7, seed=0)
         Xc = X - X.mean(axis=0)
         d_ref = np.linalg.norm(Xc[:, None] - Xc[None, :], axis=2)
         d_got = np.linalg.norm(comp[:, None] - comp[None, :], axis=2)
@@ -391,15 +393,73 @@ class TestPcaRows:
 
     def test_deterministic(self):
         X = rng_for(410).standard_normal((20, 20))
-        a = pca_rows(X, 6, seed=1)[0]
-        b = pca_rows(X, 6, seed=1)[0]
+        a = pca_rows(dense_relation(X), 6, seed=1)[0]
+        b = pca_rows(dense_relation(X), 6, seed=1)[0]
         assert np.array_equal(a, b)
 
     def test_bounds_and_default(self):
         with pytest.raises(ConfigError):
-            pca_rows(np.ones((4, 4)), 4, seed=0)
+            pca_rows(dense_relation(np.ones((4, 4))), 4, seed=0)
         assert default_m_prime(10) == 9
         assert default_m_prime(1000) == 64
+
+    @staticmethod
+    def sparse_relation(rng, n, k, copies=1):
+        """k distinct rows and positive values per column; each column repeated `copies` times."""
+        distinct = n // copies
+        members = np.argsort(rng.random((distinct, n)), axis=1)[:, :k]
+        values = rng.random((distinct, k)) + 0.1
+        return RelationMatrix(np.repeat(members, copies, axis=0), np.repeat(values, copies, axis=0))
+
+    @staticmethod
+    def dense_top(H):
+        dense = H.toarray()
+        centred = dense - dense.mean(axis=0)
+        w, v = np.linalg.eigh(centred.T @ centred)
+        order = np.argsort(w, kind="stable")[::-1]
+        return w[order], v[:, order]
+
+    def assert_exact(self, H, m_prime, exact_span, seed=0):
+        """Eigenvalues within 1e-10 relative (those below 1e-3 lambda_1, the
+        zeros, within 1e-13 lambda_1), and the sine of the largest principal
+        angle to the top-`exact_span` eigenspace of dense eigh at most 1e-8."""
+        _, components, eigvals = pca_rows(H, m_prime, seed=seed)
+        w, v = self.dense_top(H)
+        scale = np.maximum(w[:m_prime], 1e-3 * w[0])
+        assert (np.abs(eigvals - w[:m_prime]) <= 1e-10 * scale).all()
+        assert np.abs(components.T @ components - np.eye(m_prime)).max() < 1e-10
+        ref = v[:, :exact_span]
+        got = components[:, :exact_span]
+        assert np.linalg.norm(got - ref @ (ref.T @ got), 2) <= 1e-8
+
+    def test_exact_on_random_relation_matrix(self):
+        self.assert_exact(self.sparse_relation(rng_for(415), 120, 6), 8, 8)
+
+    def test_exact_on_near_degenerate_spectrum(self):
+        H = self.sparse_relation(rng_for(416), 200, 6)
+        w, _ = self.dense_top(H)
+        m_prime = next(m for m in range(10, 60) if w[m - 1] / w[m] < 1.01)
+        self.assert_exact(H, m_prime, m_prime)
+
+    def test_exact_through_breakdown_restarts(self):
+        # 30 distinct columns, each three times: rank 30 at most, so the
+        # Krylov space of one start vector breaks down before m' = 36 pairs
+        # converge; the last ones are zeros reached by restarts, and the
+        # first check (step 72 < n = 90) exits on the residual bound
+        H = self.sparse_relation(rng_for(417), 90, 4, copies=3)
+        w, _ = self.dense_top(H)
+        rank = int((w > 1e-9 * w[0]).sum())
+        assert rank + 1 < 36
+        self.assert_exact(H, 36, rank)
+
+    def test_exact_at_n_minus_1_components(self):
+        self.assert_exact(self.sparse_relation(rng_for(418), 30, 5), 29, 29)
+
+    def test_non_finite_relation_matrix_raises(self):
+        H = self.sparse_relation(rng_for(419), 20, 4)
+        H.values[3, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            pca_rows(H, 3, seed=0)
 
 
 class TestClustering:
@@ -460,5 +520,6 @@ class TestFullPipeline:
         assert np.array_equal(art.converged, converged) and converged.all()
         assert np.array_equal(art.selfloops, loops)
         assert np.array_equal(art.affinity, merge_self_loops(neighbors, affinity, loops))
-        assert (art.relation != build_relation_matrix(neighbors, art.affinity)).nnz == 0
+        assert np.array_equal(art.relation.toarray(),
+                              build_relation_matrix(neighbors, art.affinity).toarray())
         assert np.array_equal(art.compressed, pca_rows(art.relation, 11, seed=0)[0])

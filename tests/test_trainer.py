@@ -448,6 +448,14 @@ class TestAdaptRun:
             adapt(model, tgt, AdaptConfig(seed=0, lr=1e300, **QUICK))
         assert exc_info.value.checkpoint_path is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_model_overflowing_on_the_target_is_refused(self):
+        # the first refresh runs the caller's model: its overflow is a bad input
+        model, tgt = small_problem(labeled=False)
+        huge = AdaptModel(model.W_f * 1e160, model.b_f, model.W_g, model.b_g)
+        with pytest.raises(ConfigError, match="overflow"):
+            adapt(huge, tgt, AdaptConfig(seed=0, **QUICK))
+
     def test_open_set_run_masks_high_entropy_samples(self):
         model, tgt = small_problem(labeled=False)
         cfg = AdaptConfig(seed=0, open_set=True, **QUICK)
