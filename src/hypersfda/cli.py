@@ -173,7 +173,7 @@ def cmd_pretrain(args) -> int:
     ckpt_path = args.out / "source_model.ckpt"
     with _manifest(args, cfg, {"checkpoint": ckpt_path}):
         model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
-        model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg)
+        model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg, ckpt_path)
         save_model(model, ckpt_path)
     print(json.dumps({"source_accuracy": acc}))
     _say(args, f"wrote {ckpt_path}")

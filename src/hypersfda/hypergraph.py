@@ -6,9 +6,19 @@ neighbors by cosine similarity of adapter features. Over n samples:
 - neighbors (n, k-1): edge i's neighbors by decreasing similarity.
 - affinity (n, k): column 0 is the anchor's coefficient, exactly 1 before
   the self-loop merge; column 1 + j is neighbors[i, j]'s nonnegative
-  least-squares weight in the reconstruction of the anchor feature.
+  weight in the norm-regularized least-squares reconstruction of the
+  anchor feature, solved exactly on an active set and certified by its
+  KKT residual, with FISTA as the fallback (solve_affinity_batch).
 - selfloops (n,): exp of the normalized entropy of edge i's mean neighbor
-  prediction, in [1, e]. The merge adds each member's own self-loop.
+  prediction, in [1, e]. The merge adds each member's own self-loop to
+  its entry in every edge it belongs to. That merge is this repository's
+  reading of the paper: PAPER.md holds only the abstract, so the paper's
+  exact self-loop formula cannot be checked here.
+
+All neighbor searches go through one kernel, _nearest. cosine_knn can
+keep a NeighborCache between calls over a slowly changing set of rows and
+then searches again only the rows a change can reach, with the full
+search's result.
 
 The merged affinities are the entries of the node-by-edge relation
 matrix H, held as the array pair it is (RelationMatrix): members (n, k),
@@ -20,7 +30,8 @@ through H's two products, and stops when every top-m' Ritz pair's
 residual bound is below PCA_TOL relative to the largest Ritz value, or
 when the Krylov basis spans all n dimensions. A breakdown (an invariant
 subspace) restarts from a fresh seeded vector. Only numpy is needed.
-Every function here is pure: no input is modified.
+Every function here is pure, apart from filling the NeighborCache a
+caller hands cosine_knn: no other input is modified.
 """
 from __future__ import annotations
 
@@ -31,26 +42,67 @@ import numpy as np
 from .config import ConfigError, seeded_rng
 
 SOLVER_MAX_ITER = 10_000
+SOLVER_ROUNDS = 8
+SOLVER_CHUNK = 256
+SECULAR_MAX_ITER = 50
 SOLVER_STEP_TOL = 1e-8
 SOLVER_KKT_TOL = 1e-6
 PCA_TOL = 1e-8
 PCA_BLOCK = 64
 ACTIVE_TOL = 1e-10
 NEIGHBOR_BLOCK = 64
+COLUMN_TILE = 8
 
 
-def _row_bytes(points: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D float array as one opaque value; equal rows, equal values.
+def _twins(points: np.ndarray) -> np.ndarray:
+    """Each row's lowest-index bitwise-equal row: itself when it has no twin.
 
-    Adding 0.0 maps -0.0 to 0.0, so rows that compare equal have equal
-    bytes (NaN aside). np.unique over these compares bytes, not rows of
-    floats: 0.09 against 0.48 ms for axis=0 at 600 x 16, one thread.
+    Twins share their largest value, which max finds exactly, so only the
+    rows whose largest value repeats are compared (zero rows mapped to
+    ones, say); finding them takes about 0.05 ms at n = 600. Each is
+    compared as one opaque value. Adding 0.0 maps -0.0 to 0.0, so rows that
+    compare equal have equal bytes (NaN aside). np.unique over these
+    compares bytes, not rows of floats: 0.09 against 0.48 ms for axis=0 at
+    600 x 16, one thread; return_index and return_inverse keep it off its
+    numpy.ma path.
     """
-    rows = np.ascontiguousarray(points + 0.0)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    key = points.max(axis=1) + 0.0
+    order = np.argsort(key)
+    same = key[order[1:]] == key[order[:-1]]
+    maybe = np.zeros(points.shape[0], dtype=bool)
+    maybe[order[1:][same]] = maybe[order[:-1][same]] = True
+    maybe = np.flatnonzero(maybe)
+    rows = np.ascontiguousarray(points[maybe] + 0.0)
+    rows = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    twin = np.arange(points.shape[0])
+    twin[maybe] = maybe[first[inverse]]
+    return twin
 
 
-def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
+def _products(points: np.ndarray, rows: np.ndarray):
+    """Yield (row ids, those rows of points @ points.T), NEIGHBOR_BLOCK rows at a time.
+
+    The rows (ascending) are gathered into blocks padded to exactly
+    NEIGHBOR_BLOCK rows (repeating them): a row's products there are
+    bitwise the same wherever it sits and whatever the other rows hold, so
+    a subset gets the values the full search does. A block is never the
+    whole matrix, which numpy would send to syrk, nor a single row (gemv).
+    The columns are padded with zero rows to a multiple of COLUMN_TILE, and
+    cut back: in a partial column tile, BLAS rounds a row differently with
+    its place in the block.
+    """
+    n = points.shape[0]
+    cols = points.T
+    if n % COLUMN_TILE:
+        cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, points.shape[1])))).T
+    for start in range(0, rows.size, NEIGHBOR_BLOCK):
+        ids = rows[start:start + NEIGHBOR_BLOCK]
+        yield ids, (points[np.resize(ids, NEIGHBOR_BLOCK)] @ cols)[:ids.size, :n]
+
+
+def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | None = None,
+             twin: np.ndarray | None = None, reach: np.ndarray | None = None) -> np.ndarray:
     """Indices of each row's k nearest other rows: the one neighbor search.
 
     The distance from row i to row j is offset[j] - 2 * points[i] . points[j];
@@ -60,9 +112,15 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
     constant ||p_i||^2; the rows must then be centred, or the form cancels
     digits in rows far from the origin. Self is excluded. Equal rows of
     points tie exactly: each duplicate column takes the distance of its
-    lowest-index twin. Ties resolve to the lower index. Returns an (n, k)
-    integer matrix ordered by increasing distance. At most NEIGHBOR_BLOCK
-    rows of distances are held at a time, so memory is O(NEIGHBOR_BLOCK * n).
+    lowest-index twin (twin, from _twins when not given). Ties resolve to
+    the lower index. At most NEIGHBOR_BLOCK rows of distances are held at a
+    time (_products), so memory is O(NEIGHBOR_BLOCK * n).
+
+    rows (ascending) restricts the search to those rows; each row's result
+    is bitwise the one the full search gives it. reach, when given, is
+    lowered to each column's smallest distance from any of the rows.
+    Returns an (n, k), or (len(rows), k), integer matrix ordered by
+    increasing distance.
 
     Cost per row: O(n * d) for its distances and O(k * n) for k argmin
     passes, no sort. argmin returns the first minimum, so each pass takes
@@ -78,35 +136,57 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int) -> np.ndarray:
         raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
     if not (np.isfinite(points).all() and np.isfinite(offset).all()):
         raise ConfigError("neighbor search needs finite points and offsets")
-    _, first, inverse = np.unique(_row_bytes(points), return_index=True, return_inverse=True)
-    twin = first[inverse]
+    twin = _twins(points) if twin is None else twin
     dup = np.flatnonzero(twin != np.arange(n))
     out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, NEIGHBOR_BLOCK):
-        stop = min(start + NEIGHBOR_BLOCK, n)
+    for ids, d in _products(points, np.arange(n) if rows is None else rows):
         # in place and bitwise equal to offset - 2.0 * (...); scaling points
-        # instead is not, as numpy sends a whole-matrix P @ P.T to syrk
-        d = points[start:stop] @ points.T
+        # instead is not
         d *= -2.0
         d += offset
         d[:, dup] = d[:, twin[dup]]
-        rows = np.arange(stop - start)
-        d[rows, np.arange(start, stop)] = np.inf
+        here = np.arange(ids.size)
+        d[here, ids] = np.inf
+        if reach is not None:
+            np.minimum(reach, d.min(axis=0), out=reach)
         for j in range(k):
             col = d.argmin(axis=1)
             # an overflowed distance could pick self or a column already taken
-            if not np.isfinite(d[rows, col]).all():
+            if not np.isfinite(d[here, col]).all():
                 raise ConfigError("neighbor distances overflow")
-            out[start:stop, j] = col
-            d[rows, col] = np.inf
-    return out
+            out[ids, j] = col
+            d[here, col] = np.inf
+    return out if rows is None else out[rows]
 
 
-def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
+@dataclass
+class NeighborCache:
+    """What cosine_knn last saw and found for one evolving set of rows.
+
+    A copy of the features, the neighbors returned and each row's twin
+    (_twins). Empty until the first call fills it; it belongs to one caller
+    and is never saved.
+    """
+
+    features: np.ndarray | None = None
+    neighbors: np.ndarray | None = None
+    twin: np.ndarray | None = None
+
+
+def cosine_knn(features: np.ndarray, k_minus_1: int,
+               cache: NeighborCache | None = None) -> np.ndarray:
     """Each row's k-1 most cosine-similar other rows, by decreasing similarity.
 
     _nearest over the unit-norm rows with a zero offset; every row must have
-    nonzero norm.
+    nonzero norm. With a cache, only what changed since the cache's last
+    call is searched again: the rows whose features or twin differ (C; a
+    duplicate column takes its twin's distances, so a new twin moves them),
+    and every other row whose neighbors include a row of C or that some
+    row of C now lies within its k-1-th distance of (plus a rounding
+    margin, as that distance is read from C's side). The result is the
+    full search's, bitwise. The full search runs instead when the cache is
+    empty or of another shape, when more than n/4 rows changed, or when
+    n <= NEIGHBOR_BLOCK.
     """
     features = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
@@ -114,7 +194,31 @@ def cosine_knn(features: np.ndarray, k_minus_1: int) -> np.ndarray:
     if zero_rows.size:
         raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
     unit = features / norms[:, None]
-    return _nearest(unit, np.zeros(unit.shape[0]), k_minus_1)
+    n, offset = unit.shape[0], np.zeros(unit.shape[0])
+    twin = _twins(unit)
+    if cache is None:
+        return _nearest(unit, offset, k_minus_1, twin=twin)
+    rows = None
+    if (cache.features is not None and cache.features.shape == features.shape
+            and cache.neighbors.shape[1] == k_minus_1 and n > NEIGHBOR_BLOCK):
+        rows = np.flatnonzero((features != cache.features).any(axis=1) | (twin != cache.twin))
+        rows = rows if rows.size <= n // 4 else None
+    if rows is None:
+        cache.neighbors = _nearest(unit, offset, k_minus_1, twin=twin)
+    elif rows.size:
+        # each row's k-1-th distance, and each column's nearest row of C; both
+        # may round i . j unlike row i's own search, by at most the margin
+        kth = -2.0 * np.einsum("ij,ij->i", unit, unit[cache.neighbors[:, -1]])
+        reach = np.full(n, np.inf)
+        cache.neighbors[rows] = _nearest(unit, offset, k_minus_1, rows, twin, reach)
+        margin = 8.0 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
+        in_c = np.zeros(n, dtype=bool)
+        in_c[rows] = True
+        again = np.flatnonzero((in_c[cache.neighbors].any(axis=1) | (reach <= kth + margin))
+                               & ~in_c)
+        cache.neighbors[again] = _nearest(unit, offset, k_minus_1, again, twin)
+    cache.features, cache.twin = features.copy(), twin
+    return cache.neighbors.copy()
 
 
 def _batch_kkt_residual(a: np.ndarray, grad_smooth: np.ndarray,
@@ -139,37 +243,23 @@ def _batch_kkt_residual(a: np.ndarray, grad_smooth: np.ndarray,
     return np.where(pos, res_pos, res_zero)
 
 
-def solve_affinity_batch(
-    anchors: np.ndarray,
-    neighbor_feats: np.ndarray,
-    alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every anchor's constrained reconstruction problem at once.
+def _fista(gram: np.ndarray, c: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fallback solve: FISTA on the instances the active-set rounds left.
 
-    minimize ||sum_j a_j z_{i_j} - z_i||^2 + alpha*||a||_2  s.t. a >= 0
-
-    Accelerated proximal gradient (FISTA) with per-instance gradient
-    restart: a step on the smooth quadratic from the extrapolated point,
-    then the exact proximal map of alpha*||.||_2 + nonnegativity (clip at
-    zero, then shrink the norm by step*alpha, collapsing to exactly 0 when
-    that is optimal). Acceleration keeps singular Gram matrices (k-1 >
-    d_z) converging to the KKT tolerance. Step size 1/L with L twice the
-    largest eigenvalue of the neighbor Gram matrix, computed exactly per
-    instance. An instance converges when its step is below SOLVER_STEP_TOL
-    and its KKT residual at most SOLVER_KKT_TOL; the residual is evaluated
-    only once every step is below SOLVER_STEP_TOL, and on the last sweep.
-    Returns (coefficients (n, k-1), converged flags (n,)); never raises on
-    non-convergence.
+    Accelerated proximal gradient with per-instance gradient restart: a
+    step on the smooth quadratic from the extrapolated point, then the exact
+    proximal map of alpha*||.||_2 + nonnegativity (clip at zero, then shrink
+    the norm by step*alpha, collapsing to exactly 0 when that is optimal).
+    Acceleration keeps singular Gram matrices (k-1 > d_z) converging to the
+    KKT tolerance. Step size 1/L with L twice the largest eigenvalue of the
+    neighbor Gram matrix, computed exactly per instance. An instance
+    converges when its step is below SOLVER_STEP_TOL and its KKT residual
+    at most SOLVER_KKT_TOL; the residual is evaluated only once every step
+    is below SOLVER_STEP_TOL, and on the last sweep. gram and c are the
+    instances' Gram matrices and linear terms. Returns (coefficients,
+    converged flags).
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    n, k1, _ = neighbor_feats.shape
-
-    gram = np.einsum("nij,nkj->nik", neighbor_feats, neighbor_feats)
-    c = 2.0 * np.einsum("nij,nj->ni", neighbor_feats, anchors)
-
+    n, k1 = c.shape
     # the smooth term's gradient is Lipschitz with constant 2 * lambda_max(gram)
     lam = np.linalg.eigvalsh(gram)[:, -1]
     step = 1.0 / (2.0 * lam + 1e-12)
@@ -203,6 +293,107 @@ def solve_affinity_batch(
                 _batch_kkt_residual(a, grad, alpha) <= SOLVER_KKT_TOL)
             if converged.all():
                 break
+    return a, converged
+
+
+def _secular(lam: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row, the mu > 0 with mu * ||b / (lam + mu)|| = alpha; inf without one.
+
+    lam >= 0 and b are one instance's eigenvalues and rotated right-hand
+    side; alpha > 0. A root exists when ||b|| > alpha. Newton runs on
+    1/||b / (lam + mu)|| - mu/alpha, which is concave and falls through its
+    only root, from the upper bound alpha * lam_max / (||b|| - alpha): each
+    step then lands between the root and the last iterate, so mu descends
+    to the root, and a row stops when a step no longer moves it.
+    """
+    norm = np.linalg.norm(b, axis=1)
+    live = norm > alpha
+    mu = alpha * lam[:, -1] / np.where(live, norm - alpha, 1.0)
+    for _ in range(SECULAR_MAX_ITER):
+        w2 = (b / (lam + mu[:, None])) ** 2
+        s = w2.sum(axis=1)
+        step = (1.0 / np.sqrt(s) - mu / alpha) / (
+            (w2 / (lam + mu[:, None])).sum(axis=1) / s**1.5 - 1.0 / alpha)
+        moved = live & (step > 4.0 * np.finfo(np.float64).eps * mu)
+        if not moved.any():
+            break
+        mu = np.where(moved, mu - step, mu)
+    return np.where(live, mu, np.inf)
+
+
+def _active_set(gram2: np.ndarray, c: np.ndarray,
+                alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact solves on a guessed support, certified by the KKT residual.
+
+    gram2 is twice the Gram matrices and c the linear terms of a chunk of
+    instances. On a support S the optimum is a_S = (gram2_SS + mu I)^-1 c_S
+    with mu = alpha/||a_S||: one eigh of gram2 on S x S and the identity off
+    it (c is 0 off S), then a secular equation for mu (_secular). a = 0 is optimal
+    exactly when ||max(0, c)|| <= alpha. A round certifies each finite
+    solution positive on S whose KKT residual is within SOLVER_KKT_TOL;
+    the rest move to S's positive part plus the coordinates whose gradient
+    is below -SOLVER_KKT_TOL. The first round takes S = all. Returns
+    (coefficients, certified flags) after at most SOLVER_ROUNDS rounds.
+    """
+    a = np.zeros_like(c)
+    certified = np.zeros(len(c), dtype=bool)
+    support = np.ones(c.shape, dtype=bool)
+    ball = np.linalg.norm(np.maximum(c, 0.0), axis=1) <= alpha
+    # eigh raises on a Gram matrix whose double overflows; such rows go to the fallback
+    rows = np.flatnonzero(np.isfinite(gram2).all(axis=(1, 2)) & np.isfinite(c).all(axis=1))
+    for _ in range(SOLVER_ROUNDS):
+        if not rows.size:
+            break
+        s = support[rows]
+        lam, vecs = np.linalg.eigh(np.where(s[:, :, None] & s[:, None, :], gram2[rows],
+                                            np.eye(c.shape[1])))
+        lam = np.maximum(lam, 0.0)  # gram2 is positive semidefinite
+        b = np.einsum("nji,nj->ni", vecs, np.where(s, c[rows], 0.0))
+        denom = lam + (_secular(lam, b, alpha)[:, None] if alpha > 0 else 0.0)
+        # a pseudo-inverse when alpha = 0 and the Gram matrix is singular
+        tiny = denom <= c.shape[1] * np.finfo(float).eps * lam[:, -1:]
+        x = np.einsum("nij,nj->ni", vecs, np.where(tiny, 0.0, b / np.where(tiny, 1.0, denom)))
+        x = np.where(s & ~ball[rows, None], x, 0.0)
+        grad = np.einsum("nij,nj->ni", gram2[rows], x) - c[rows]
+        ok = (np.isfinite(x).all(axis=1) & (ball[rows] | ((x > ACTIVE_TOL) | ~s).all(axis=1))
+              & (_batch_kkt_residual(x, grad, alpha) <= SOLVER_KKT_TOL))
+        a[rows[ok]] = x[ok]
+        certified[rows[ok]] = True
+        support[rows] = (s & (x > ACTIVE_TOL)) | (~s & (grad < -SOLVER_KKT_TOL))
+        rows = rows[~ok & np.isfinite(x).all(axis=1)]
+    return a, certified
+
+
+def solve_affinity_batch(anchors: np.ndarray, neighbor_feats: np.ndarray,
+                         alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every anchor's constrained reconstruction problem at once.
+
+    minimize ||sum_j a_j z_{i_j} - z_i||^2 + alpha*||a||_2  s.t. a >= 0
+
+    Batched active-set rounds (_active_set) solve each instance exactly on
+    a guessed support, the trust-region secular equation of More and
+    Sorensen (1983) fixing the norm term's multiplier, and certify it by
+    the KKT residual. Instances run in chunks of SOLVER_CHUNK. The few the
+    rounds leave uncertified go to the FISTA fallback (_fista). Returns
+    (coefficients (n, k-1), converged flags (n,)): a flag says the
+    instance's solution met SOLVER_KKT_TOL. Never raises on
+    non-convergence.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
+    if alpha < 0:
+        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+
+    gram = np.einsum("nij,nkj->nik", neighbor_feats, neighbor_feats)
+    c = 2.0 * np.einsum("nij,nj->ni", neighbor_feats, anchors)
+    a = np.zeros_like(c)
+    converged = np.zeros(len(c), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(c), SOLVER_CHUNK):
+            part = slice(start, start + SOLVER_CHUNK)
+            a[part], converged[part] = _active_set(2.0 * gram[part], c[part], alpha)
+    rest = np.flatnonzero(~converged)
+    a[rest], converged[rest] = _fista(gram[rest], c[rest], alpha)
     return a, converged
 
 

@@ -31,6 +31,15 @@ class CheckpointError(ValueError):
     """Unreadable or malformed checkpoint file."""
 
 
+class TrainingAborted(RuntimeError):
+    """Raised when non-finite values or an overflowing refresh stop training."""
+
+    def __init__(self, message: str, iteration: int, checkpoint_path: Path | None):
+        super().__init__(message)
+        self.iteration = iteration
+        self.checkpoint_path = checkpoint_path
+
+
 PARAM_NAMES = ("W_f", "b_f", "W_g", "b_g")
 
 
@@ -213,8 +222,14 @@ def accuracy(model: AdaptModel, ds: EmbeddingDataset) -> float:
 
 
 def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
-                    cfg: AdaptConfig) -> tuple[AdaptModel, float]:
-    """Minimize smoothed cross entropy on the labeled source; returns accuracy too."""
+                    cfg: AdaptConfig,
+                    abort_path: Path | None = None) -> tuple[AdaptModel, float]:
+    """Minimize smoothed cross entropy on the labeled source; returns accuracy too.
+
+    A step that leaves a non-finite gradient or weight stops the run: the
+    last finite model is saved to abort_path (when given) and
+    TrainingAborted raises, naming the epoch and the step within it.
+    """
     if source.labels is None:
         raise ConfigError("pretraining requires a labeled source dataset")
     if epochs < 0:
@@ -227,7 +242,7 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
     n = source.n
     for epoch in range(epochs):
         perm = seeded_rng(cfg.seed, 31, epoch).permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             x = source.features[idx]
             z, p = forward(model, x)
@@ -235,7 +250,14 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
                 p, source.labels[idx], source.class_count, cfg.label_smoothing
             )
             grads = backward(model, x, z, p, upstream)
-            model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum)
+            try:
+                model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum)
+            except FloatingPointError as exc:
+                if abort_path is not None:
+                    save_model(model, abort_path)
+                raise TrainingAborted(
+                    f"pretraining aborted at epoch {epoch}, step {step}: {exc}",
+                    epoch * math.ceil(n / cfg.batch_size) + step, abort_path) from exc
     return model, accuracy(model, source)
 
 

@@ -23,12 +23,14 @@ import numpy as np
 
 from .config import AdaptConfig, ConfigError, seeded_rng
 from .datagen import EmbeddingDataset
-from .hypergraph import HypergraphArtifacts, build_artifacts, cosine_knn, normalized_entropy
+from .hypergraph import (HypergraphArtifacts, NeighborCache, build_artifacts, cosine_knn,
+                         normalized_entropy)
 from .model import (
     CHECKPOINT_VERSION_TRAINER,
     AdaptModel,
     CheckpointError,
     GradientSet,
+    TrainingAborted,
     backward,
     checkpoint_writer,
     forward,
@@ -47,15 +49,6 @@ from .objective import (
     lambda_schedule,
     total_loss,
 )
-
-
-class TrainingAborted(RuntimeError):
-    """Raised when a non-finite loss or gradient, or an overflowing refresh, stops the run."""
-
-    def __init__(self, message: str, iteration: int, checkpoint_path: Path | None):
-        super().__init__(message)
-        self.iteration = iteration
-        self.checkpoint_path = checkpoint_path
 
 
 @dataclass
@@ -206,6 +199,7 @@ def evaluate(
     dataset: EmbeddingDataset,
     bank: MemoryBank | None = None,
     h: int = 3,
+    cache: NeighborCache | None = None,
 ) -> MetricsRecord:
     """Accuracy plus neighborhood diagnostics on a labeled dataset.
 
@@ -214,6 +208,9 @@ def evaluate(
     matches the sample's true label. misleading_ratio per class c: the
     fraction of class-c samples whose single nearest neighbor predicts a
     label other than c. Without a bank, fresh forward outputs stand in.
+    A cache, passed on to the one cosine_knn call, lets a caller that
+    evaluates a slowly changing bank search again only what changed; the
+    result is the same.
     """
     if dataset.labels is None:
         raise ConfigError("evaluation requires a labeled dataset")
@@ -224,7 +221,7 @@ def evaluate(
         feats, preds = knn_safe_features(bank.features), bank.predictions
     acc = float(np.mean(p.argmax(axis=1) == dataset.labels))
 
-    neighbor_idx = cosine_knn(feats, min(h, dataset.n - 1))
+    neighbor_idx = cosine_knn(feats, min(h, dataset.n - 1), cache)
     neighbor_labels = preds.argmax(axis=1)[neighbor_idx]  # (n, h)
     agree = (neighbor_labels == dataset.labels[:, None]).mean(axis=1)
     neighbor_agreement = float(agree.mean())
@@ -333,6 +330,8 @@ def adapt(
 
     metrics: list[MetricsRecord] = []
     labeled = target.labels is not None
+    # this call's alone: a refresh or a resume starts it with a full search
+    neighbor_cache = NeighborCache()
     start = state.iteration
     stop = max_iter if stop_after is None else min(max_iter, start + stop_after)
 
@@ -391,7 +390,7 @@ def adapt(
                 np.zeros(0), np.zeros(0), np.zeros(0), cfg.eta, lam
             )
 
-        record = (replace(evaluate(state.model, target, state.bank, cfg.h),
+        record = (replace(evaluate(state.model, target, state.bank, cfg.h, neighbor_cache),
                           iteration=t, **vars(breakdown)) if labeled
                   else MetricsRecord(t, **vars(breakdown)))
         metrics.append(record)

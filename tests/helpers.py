@@ -3,9 +3,10 @@
 Everything here is written straight-line (plain loops, dense linear
 algebra) so the package's vectorized/sparse/iterative code paths can be
 checked against naive but obviously-correct counterparts. Keep this module
-free of imports from hypersfda internals beyond public API types; the one
-exception is the bitwise solver oracle, which must share the solver's
-tolerances and residual to reproduce its flags. `cli_options` lists the
+free of imports from hypersfda internals beyond public API types; the
+exceptions are the bitwise solver oracle, which must share the solver's
+tolerances and residual to reproduce its flags, and the neighbor-search
+oracle, which must pad its columns as the package does. `cli_options` lists the
 flags a subcommand registers, for the CLI and API-surface tests.
 """
 from __future__ import annotations
@@ -15,7 +16,12 @@ import argparse
 import numpy as np
 
 from hypersfda import ConfigError, EmaState, RelationMatrix
-from hypersfda.hypergraph import SOLVER_KKT_TOL, SOLVER_STEP_TOL, _batch_kkt_residual
+from hypersfda.hypergraph import (
+    COLUMN_TILE,
+    SOLVER_KKT_TOL,
+    SOLVER_STEP_TOL,
+    _batch_kkt_residual,
+)
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -139,6 +145,53 @@ def ref_solve_affinity_batch(anchors: np.ndarray, neighbor_feats: np.ndarray,
     return a, converged
 
 
+def ref_exhaustive_affinity(anchor: np.ndarray, neighbors: np.ndarray,
+                            alpha: float) -> np.ndarray:
+    """The optimum of min ||a.N - x||^2 + alpha*||a||_2, a >= 0, by trying every support.
+
+    On a support S a positive optimum solves (2 G_SS + mu I) a_S = c_S with
+    mu = alpha/||a_S||; mu * ||a_S(mu)|| grows with mu, so bisection finds
+    it, each a_S(mu) from a dense solve. Of the candidates positive on S
+    whose KKT residual is within 1e-6 (a = 0 when the ball condition
+    holds), the lowest objective wins. Needs nonsingular G_SS: k-1 <= d_z.
+    """
+    k1 = neighbors.shape[0]
+    gram = neighbors @ neighbors.T
+    c = 2.0 * (neighbors @ anchor)
+    best, best_obj = np.zeros(k1), np.inf
+    if np.sqrt((np.maximum(c, 0.0) ** 2).sum()) <= alpha:
+        best_obj = nnls_objective(best, anchor, neighbors, alpha)
+    for mask in range(1, 2**k1):
+        support = [j for j in range(k1) if mask >> j & 1]
+        system = 2.0 * gram[np.ix_(support, support)]
+        rhs = c[support]
+
+        def reach(mu):  # mu * ||a_S(mu)||
+            a_s = np.linalg.solve(system + mu * np.eye(len(support)), rhs)
+            return mu * np.sqrt(a_s @ a_s)
+
+        if np.sqrt(rhs @ rhs) <= alpha:
+            continue
+        mu = 0.0
+        if alpha > 0.0:
+            lo, hi = 0.0, 1.0
+            while reach(hi) < alpha:
+                hi *= 2.0
+            while lo < 0.5 * (lo + hi) < hi:  # to the last bit
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if reach(mid) < alpha else (lo, mid)
+            mu = hi
+        coeffs = np.linalg.solve(system + mu * np.eye(len(support)), rhs)
+        if (coeffs <= 0.0).any():
+            continue
+        a = np.zeros(k1)
+        a[support] = coeffs
+        obj = nnls_objective(a, anchor, neighbors, alpha)
+        if ref_kkt_residual(a, anchor, neighbors, alpha) <= 1e-6 and obj < best_obj:
+            best, best_obj = a, obj
+    return best
+
+
 def make_nnls_instance(index: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Deterministic NNLS test instance: (anchor, neighbors, alpha).
 
@@ -166,18 +219,24 @@ def make_nnls_instance(index: int) -> tuple[np.ndarray, np.ndarray, float]:
 def ref_nearest(points: np.ndarray, offset: np.ndarray, k: int, block: int) -> np.ndarray:
     """The neighbor search by a full stable argsort of every row.
 
-    Distances are formed exactly as the package forms them, block rows at a
-    time (BLAS may round a whole-matrix product differently), so any
+    Distances are formed exactly as the package forms them, from products
+    of blocks of `block` rows (the last one padded by repeating its rows;
+    BLAS may round a whole-matrix or one-row product differently) against
+    the columns padded with zero rows to a multiple of COLUMN_TILE, so any
     difference in the result comes from the selection alone.
     """
     n = points.shape[0]
     _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)
     twin = first[inverse.ravel()]
     dup = np.flatnonzero(twin != np.arange(n))
+    cols = points.T
+    if n % COLUMN_TILE:
+        cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, points.shape[1])))).T
     out = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        d = offset - 2.0 * (points[start:stop] @ points.T)
+        rows = np.resize(np.arange(start, stop), block)
+        d = offset - 2.0 * (points[rows] @ cols)[:stop - start, :n]
         d[:, dup] = d[:, twin[dup]]
         d[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = np.argsort(d, axis=1, kind="stable")[:, :k]

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -141,6 +142,22 @@ class TestPretrain:
                        "--out", tmp_path, "--quiet")
         assert code == 2
         assert "no such file" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_3_and_saves_last_finite_model(self, workspace, tmp_path, capsys):
+        capsys.readouterr()
+        assert run_cli(
+            "pretrain", "--source", workspace / "source.csv", "--pretrain-epochs", "5",
+            "--lr", "1e300", "--seed", "0", "--out", tmp_path, "--quiet",
+        ) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"pretraining aborted at epoch \d+, step \d+: non-finite", err)
+        assert "Traceback" not in err
+        assert f"saved to {tmp_path / 'source_model.ckpt'}" in err
+        model = load_model(tmp_path / "source_model.ckpt")
+        assert all(np.isfinite(t).all() for t in model.tensors())
+        manifest = json.loads((tmp_path / "pretrain_manifest.json").read_text())
+        assert manifest["finished_at"] == ""
 
 
 class TestAdapt:

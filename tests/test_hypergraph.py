@@ -19,18 +19,24 @@ from hypersfda import (
 )
 from hypersfda import hypergraph
 from hypersfda.hypergraph import (
+    COLUMN_TILE,
     NEIGHBOR_BLOCK,
+    NeighborCache,
+    SOLVER_KKT_TOL,
     SOLVER_MAX_ITER,
     _nearest,
     default_m_prime,
     pca_rows,
     solve_affinity_batch,
 )
+from hypersfda.trainer import knn_safe_features
 
 from helpers import (
     dense_relation,
+    make_nnls_instance,
     nnls_objective,
     ref_cosine_knn,
+    ref_exhaustive_affinity,
     ref_kkt_residual,
     ref_nearest,
     ref_nnls_longrun,
@@ -103,6 +109,70 @@ class TestCosineKnn:
             cosine_knn(feats, 4)
 
 
+class TestIncrementalKnn:
+    @pytest.mark.parametrize("n", [100, 129, 301, 600, 1000])
+    @pytest.mark.parametrize("d", [6, 16, 128])
+    def test_gathered_rows_equal_the_block_rows_bitwise(self, n, d):
+        # the BLAS behaviour exactness rests on: a row's products from a
+        # block gathered and padded to NEIGHBOR_BLOCK rows are bitwise the
+        # same wherever it sits and whatever the other rows are; in whole
+        # blocks they equal those of the contiguous 64-row blocks. At
+        # n = 129 the last block is one row, which numpy would send to gemv;
+        # n = 129 and 301 leave a partial column tile, which _products pads.
+        rng = rng_for(421, n, d)
+        points = rng.standard_normal((n, d))
+        points /= np.linalg.norm(points, axis=1)[:, None]
+        full = np.vstack([block for _, block in hypergraph._products(points, np.arange(n))])
+        cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, d)))).T
+        whole = n - n % NEIGHBOR_BLOCK
+        contiguous = [(points[start:start + NEIGHBOR_BLOCK] @ cols)[:, :n]
+                      for start in range(0, whole, NEIGHBOR_BLOCK)]
+        assert np.vstack(contiguous).tobytes() == full[:whole].tobytes()
+        for size in [1, 2, *rng.integers(3, NEIGHBOR_BLOCK + 1, 6), 2 * NEIGHBOR_BLOCK + 5]:
+            rows = np.sort(rng.choice(n, min(size, n), replace=False))
+            got = list(hypergraph._products(points, rows))
+            assert np.array_equal(np.concatenate([ids for ids, _ in got]), rows)
+            assert np.vstack([block for _, block in got]).tobytes() == full[rows].tobytes()
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_cached_search_matches_full_search(self, monkeypatch, case):
+        subsets = []
+        nearest = hypergraph._nearest
+
+        def counting(points, offset, k, rows=None, twin=None, reach=None):
+            subsets.append(rows is not None)
+            return nearest(points, offset, k, rows, twin, reach)
+
+        monkeypatch.setattr(hypergraph, "_nearest", counting)
+        rng = rng_for(422, case)
+        n = int((40, 64, 65, 130, 301, 600)[case % 6])
+        lattice = case % 3 == 0  # many exact ties
+        d = int(rng.choice([6, 16] if lattice else [2, 6, 16]))
+        k = n - 1 if case % 4 == 3 and n < 600 else int(rng.integers(1, 6))
+
+        def draw(m):
+            if lattice:
+                return rng.integers(-1, 2, (m, d)).astype(float)
+            return rng.standard_normal((m, d))
+
+        feats = knn_safe_features(draw(n))
+        cache = NeighborCache()
+        for step in range(25):
+            m = min(n, int(rng.choice([1, 1, 3, 16, NEIGHBOR_BLOCK, n // 4, n // 4 + 1, n])))
+            rows = rng.choice(n, m, replace=False)
+            feats = feats.copy()
+            feats[rows] = draw(m)
+            if step % 5 == 2:  # copies of other rows, and zero rows mapped to ones
+                feats[rows[:m // 2 + 1]] = feats[rng.integers(0, n)]
+            if step % 5 == 4:
+                feats[rows[:2]] = 0.0
+            feats = knn_safe_features(feats)
+            got = cosine_knn(feats, k, cache)
+            assert np.array_equal(got, cosine_knn(feats, k)), step
+        if n > NEIGHBOR_BLOCK:
+            assert any(subsets)
+
+
 class TestNearest:
     def test_matches_full_sort_reference(self):
         rng = rng_for(431)
@@ -170,10 +240,9 @@ class TestNearest:
         points[rng.uniform(size=(n, d)) < 0.3] = -0.0  # -0.0 and 0.0 are twins
         rows, first, inverse = np.unique(points, axis=0, return_index=True,
                                          return_inverse=True)
-        _, b_first, b_inverse = np.unique(hypergraph._row_bytes(points), return_index=True,
-                                          return_inverse=True)
-        assert np.array_equal(first[inverse.ravel()], b_first[b_inverse])
-        assert b_first.size == rows.shape[0]
+        twins = hypergraph._twins(points)
+        assert np.array_equal(first[inverse.ravel()], twins)
+        assert np.unique(twins).size == rows.shape[0]
 
 
 class TestAffinitySolver:
@@ -228,9 +297,12 @@ class TestAffinitySolver:
 
     @pytest.mark.parametrize("max_iter", [SOLVER_MAX_ITER, 1, 3])
     def test_matches_every_sweep_reference_bitwise(self, monkeypatch, max_iter):
-        # the residual is skipped on sweeps where some step has not stalled;
-        # coefficients and flags must not notice, including when starved.
-        # Scaled-up features make steps stall before the residual is met.
+        # the FISTA fallback, which takes every instance when no active-set
+        # round runs. It skips the residual on sweeps where some step has
+        # not stalled; coefficients and flags must not notice, including
+        # when starved. Scaled-up features make steps stall before the
+        # residual is met.
+        monkeypatch.setattr(hypergraph, "SOLVER_ROUNDS", 0)
         monkeypatch.setattr(hypergraph, "SOLVER_MAX_ITER", max_iter)
         flags = []
         for index in range(24):
@@ -256,6 +328,86 @@ class TestAffinitySolver:
     def test_rejects_negative_alpha(self):
         with pytest.raises(ConfigError):
             solve_affinity_batch(np.ones((1, 3)), np.ones((1, 2, 3)), -1.0)
+
+
+def active_set(anchors, neighbors, alpha):
+    """The active-set rounds alone on a batch: (coefficients, certified flags)."""
+    gram = np.einsum("nij,nkj->nik", neighbors, neighbors)
+    c = 2.0 * np.einsum("nij,nj->ni", neighbors, anchors)
+    return hypergraph._active_set(2.0 * gram, c, alpha)
+
+
+class TestActiveSetSolver:
+    def test_certifies_every_reference_instance(self):
+        for index in range(200):
+            anchor, neighbors, alpha = make_nnls_instance(index)
+            (a,), (certified,) = active_set(anchor[None], neighbors[None], alpha)
+            assert certified, index
+            (solved,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+            assert a.tobytes() == solved.tobytes()
+            assert ref_kkt_residual(a, anchor, neighbors, alpha) <= SOLVER_KKT_TOL
+
+    def test_matches_exhaustive_support_oracle(self):
+        checked = 0
+        for index in range(200):
+            anchor, neighbors, alpha = make_nnls_instance(index)
+            if not neighbors.shape[0] <= min(6, neighbors.shape[1]):
+                continue  # the oracle's Gram matrices must be nonsingular
+            (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+            ref = ref_exhaustive_affinity(anchor, neighbors, alpha)
+            assert np.abs(a - ref).max() <= 1e-10, index
+            checked += 1
+        assert checked >= 50
+
+    def test_singular_gram_at_alpha_zero(self):
+        # k - 1 = 8 neighbors in 3 dimensions: many optima, one objective
+        for seed in range(10):
+            rng = rng_for(306, seed)
+            neighbors = rng.standard_normal((8, 3))
+            anchor = rng.standard_normal(3)
+            (a,), (certified,) = active_set(anchor[None], neighbors[None], 0.0)
+            assert certified and (a >= 0).all()
+            assert ref_kkt_residual(a, anchor, neighbors, 0.0) <= SOLVER_KKT_TOL
+            _, rnorm = scipy.optimize.nnls(neighbors.T, anchor)
+            assert abs(nnls_objective(a, anchor, neighbors, 0.0) - rnorm**2) <= 1e-9
+
+    def test_zero_optimum_is_exact(self):
+        # ||max(0, c)|| <= alpha: the ball condition makes a = 0 optimal
+        rng = rng_for(307)
+        neighbors = rng.standard_normal((5, 6))
+        for alpha in (2.0 * np.linalg.norm(np.maximum(neighbors @ -neighbors[0], 0)) + 1e-3,
+                      1e6):
+            anchor = -neighbors[0]
+            (a,), (certified,) = active_set(anchor[None], neighbors[None], alpha)
+            assert certified and a.tobytes() == np.zeros(5).tobytes()
+
+    def test_uncertified_rows_take_the_fallback(self, monkeypatch):
+        # one round leaves the rows whose support it guessed wrong; those
+        # must come out of FISTA exactly as the every-sweep oracle computes
+        rng = rng_for(308)
+        neighbors = rng.standard_normal((40, 6, 8))
+        anchors = rng.standard_normal((40, 8))
+        monkeypatch.setattr(hypergraph, "SOLVER_ROUNDS", 1)
+        _, certified = active_set(anchors, neighbors, 2.0)
+        left = np.flatnonzero(~certified)
+        assert 0 < left.size < 40
+        a, converged = solve_affinity_batch(anchors, neighbors, 2.0)
+        ref_a, ref_converged = ref_solve_affinity_batch(
+            anchors[left], neighbors[left], 2.0, SOLVER_MAX_ITER)
+        assert a[left].tobytes() == ref_a.tobytes()
+        assert converged.all() and ref_converged.all()
+
+    def test_overflowing_instance_goes_to_the_fallback(self):
+        # a finite Gram matrix whose double overflows must not reach eigh,
+        # which raises LinAlgError on it
+        neighbors = np.full((2, 3, 2), 7e153)
+        neighbors[1] = rng_for(309).standard_normal((3, 2))
+        anchors = np.ones((2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, certified = active_set(anchors, neighbors, 2.0)
+            _, converged = solve_affinity_batch(anchors, neighbors, 2.0)
+        assert certified.tolist() == [False, True]
+        assert converged[1]
 
 
 class TestHyperedges:
