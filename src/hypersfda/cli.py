@@ -5,10 +5,12 @@ JSON < explicit flags. Each registers flags only for the AdaptConfig fields
 it reads, and AdaptConfig checks every value. gen, pretrain and adapt write
 <command>_manifest.json before work starts, recording the settings read,
 every other argument, and the outputs, so a run can be reproduced from its
-manifest alone.
+manifest alone. The commands here choose every file a run writes; the
+engine writes none of its own, and an abort's last good state is saved
+here too.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime abort
-(non-finite loss during adaptation).
+(non-finite values in pretraining or adaptation).
 """
 from __future__ import annotations
 
@@ -144,6 +146,22 @@ def _trim_stream(path: Path, iteration: int) -> None:
     path.write_bytes(b"".join(kept))
 
 
+@contextlib.contextmanager
+def _save_on_abort(save, path: Path):
+    """On TrainingAborted, save its last good state or model to `path`, say so, re-raise.
+
+    main turns the abort into exit 3; a manifest around this keeps an empty
+    finished_at.
+    """
+    try:
+        yield
+    except TrainingAborted as exc:
+        save(exc.last_good, path)
+        print(f"error: {exc}", file=sys.stderr)
+        print(f"last good state saved to {path}", file=sys.stderr)
+        raise
+
+
 def cmd_gen(args) -> int:
     source_path, target_path = args.out / "source.csv", args.out / "target.csv"
     with _manifest(args, None, {"source": source_path, "target": target_path}):
@@ -171,9 +189,9 @@ def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     source = load_dataset(args.source)
     ckpt_path = args.out / "source_model.ckpt"
-    with _manifest(args, cfg, {"checkpoint": ckpt_path}):
+    with _manifest(args, cfg, {"checkpoint": ckpt_path}), _save_on_abort(save_model, ckpt_path):
         model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
-        model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg, ckpt_path)
+        model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg)
         save_model(model, ckpt_path)
     print(json.dumps({"source_accuracy": acc}))
     _say(args, f"wrote {ckpt_path}")
@@ -191,12 +209,13 @@ def cmd_adapt(args) -> int:
     check_adapt_inputs(model, target, cfg, resume_state)
     # one line per iteration as it completes; a resumed run keeps the records
     # before its checkpoint and appends the rest
-    with _manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}):
+    with (_manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}),
+          _save_on_abort(save_checkpoint, ckpt_path)):
         if resume_state is not None:
             _trim_stream(metrics_path, resume_state.iteration)
         with open(metrics_path, "w" if resume_state is None else "a", encoding="utf-8") as fh:
             model, metrics, state = adapt(
-                model, target, cfg, resume_from=resume_state, abort_path=ckpt_path,
+                model, target, cfg, resume_from=resume_state,
                 iteration_callback=lambda _, record: fh.write(
                     json.dumps(record.stream_dict()) + "\n"),
             )
@@ -214,7 +233,8 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     model = load_model(args.model)
     record = evaluate(model, load_dataset(args.data), bank=None, h=cfg.h)
-    print(json.dumps(record.full_dict()))
+    print(json.dumps({**record.stream_dict(),
+                      "misleading_ratio": list(record.misleading_ratio)}))
     return 0
 
 
@@ -283,10 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrainingAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.checkpoint_path is not None:
-            print(f"last good state saved to {exc.checkpoint_path}", file=sys.stderr)
+    except TrainingAborted:  # reported where its last good state was saved
         return RUNTIME_ABORT
     except (ConfigError, DatasetFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -93,38 +93,19 @@ class ShiftSpec:
     as tight as source clusters but sit in shifted positions.
 
     rotation_angle   radians, applied in a fixed 2-D plane
-    translation      length-d vector (or scalar broadcast, or None for zero)
+    translation      added to every target coordinate
     noise_sigma      stdev of the random per-class mean offset
-    class_prior_drift  optional per-class sampling weights for the target
     seed             seed of the mean-offset stream
     """
 
     rotation_angle: float = 0.0
-    translation: np.ndarray | float | None = None
+    translation: float = 0.0
     noise_sigma: float = 0.0
-    class_prior_drift: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.class_prior_drift is not None:
-            drift = np.asarray(self.class_prior_drift, dtype=np.float64)
-            if drift.ndim != 1 or (drift < 0).any():
-                raise ConfigError("class_prior_drift must be a nonnegative 1-D weight vector")
-            if abs(drift.sum() - 1.0) > 1e-9:
-                raise ConfigError(f"class_prior_drift must sum to 1, got {drift.sum()}")
-            object.__setattr__(self, "class_prior_drift", drift)
-
-    def translation_vector(self, dim: int) -> np.ndarray:
-        if self.translation is None:
-            return np.zeros(dim)
-        if np.isscalar(self.translation):
-            return np.full(dim, float(self.translation))
-        vec = np.asarray(self.translation, dtype=np.float64)
-        if vec.shape != (dim,):
-            raise ConfigError(f"translation must have length {dim}, got shape {vec.shape}")
-        return vec
 
 
 def _rotate_first_two(x: np.ndarray, angle: float) -> np.ndarray:
@@ -209,17 +190,8 @@ def gen_gaussian_domains(
     feats_s = means[labels_s] + sig[labels_s, None] * rng_s.standard_normal((n_source, dim))
 
     rng_t = seeded_rng(seed, _STREAM_TARGET)
-    if shift.class_prior_drift is not None:
-        if shift.class_prior_drift.shape != (class_count,):
-            raise ConfigError(
-                f"class_prior_drift must have one weight per class ({class_count})"
-            )
-        labels_t = rng_t.choice(class_count, size=n_target, p=shift.class_prior_drift)
-        labels_t = labels_t.astype(np.int64)
-    else:
-        labels_t = _balanced_labels(n_target, class_count, rng_t)
-    means_t = _rotate_first_two(means, shift.rotation_angle)
-    means_t = means_t + shift.translation_vector(dim)
+    labels_t = _balanced_labels(n_target, class_count, rng_t)
+    means_t = _rotate_first_two(means, shift.rotation_angle) + shift.translation
     if shift.noise_sigma > 0:
         rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
         means_t = means_t + shift.noise_sigma * rng_n.standard_normal((class_count, dim))
@@ -280,7 +252,7 @@ def gen_two_moons_domains(
 
     feats_s = pts_s @ embed + offset
     feats_t = pts_t @ embed + offset
-    feats_t = feats_t + shift.translation_vector(dim)
+    feats_t = feats_t + shift.translation
     if shift.noise_sigma > 0:
         rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
         class_offsets = shift.noise_sigma * rng_n.standard_normal((2, dim))

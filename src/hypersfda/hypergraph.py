@@ -255,14 +255,18 @@ def _fista(gram: np.ndarray, c: np.ndarray, alpha: float) -> tuple[np.ndarray, n
     neighbor Gram matrix, computed exactly per instance. An instance
     converges when its step is below SOLVER_STEP_TOL and its KKT residual
     at most SOLVER_KKT_TOL; the residual is evaluated only once every step
-    is below SOLVER_STEP_TOL, and on the last sweep. gram and c are the
-    instances' Gram matrices and linear terms. Returns (coefficients,
+    is below SOLVER_STEP_TOL, and on the last sweep. An instance whose
+    2 * lambda_max overflows gets step 0, so its first sweep is a fixed
+    point (0, or NaN): such instances are left out of both tests, and the
+    solve stops once every other instance has converged. gram and c are
+    the instances' Gram matrices and linear terms. Returns (coefficients,
     converged flags).
     """
     n, k1 = c.shape
     # the smooth term's gradient is Lipschitz with constant 2 * lambda_max(gram)
     lam = np.linalg.eigvalsh(gram)[:, -1]
     step = 1.0 / (2.0 * lam + 1e-12)
+    frozen = step == 0.0
 
     a = np.zeros((n, k1))
     a_prev = a
@@ -287,11 +291,11 @@ def _fista(gram: np.ndarray, c: np.ndarray, alpha: float) -> tuple[np.ndarray, n
         a = a_next
         t = t_next
         # only then can the residual end the solve; the last sweep sets the flags
-        if (change < SOLVER_STEP_TOL).all() or sweep == SOLVER_MAX_ITER - 1:
+        if ((change < SOLVER_STEP_TOL) | frozen).all() or sweep == SOLVER_MAX_ITER - 1:
             grad = np.einsum("nij,nj->ni", gram, a) * 2.0 - c
             converged = (change < SOLVER_STEP_TOL) & (
                 _batch_kkt_residual(a, grad, alpha) <= SOLVER_KKT_TOL)
-            if converged.all():
+            if (converged | frozen).all():
                 break
     return a, converged
 
@@ -475,11 +479,6 @@ class RelationMatrix:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """H.T @ y for one vector y."""
         return np.einsum("jk,jk->j", self.values, y[self.members])
-
-    def toarray(self) -> np.ndarray:
-        dense = np.zeros((len(self.members),) * 2)
-        dense[self.members, np.arange(len(self.members))[:, None]] = self.values
-        return dense
 
 
 def build_relation_matrix(neighbors: np.ndarray, affinity: np.ndarray) -> RelationMatrix:

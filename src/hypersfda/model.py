@@ -32,12 +32,17 @@ class CheckpointError(ValueError):
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when non-finite values or an overflowing refresh stop training."""
+    """Raised when non-finite values or an overflowing refresh stop training.
 
-    def __init__(self, message: str, iteration: int, checkpoint_path: Path | None):
+    last_good is what the caller may save: the TrainerState before the
+    failing adaptation iteration, or the AdaptModel before the failing
+    pretraining step.
+    """
+
+    def __init__(self, message: str, iteration: int, last_good):
         super().__init__(message)
         self.iteration = iteration
-        self.checkpoint_path = checkpoint_path
+        self.last_good = last_good
 
 
 PARAM_NAMES = ("W_f", "b_f", "W_g", "b_g")
@@ -222,13 +227,12 @@ def accuracy(model: AdaptModel, ds: EmbeddingDataset) -> float:
 
 
 def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
-                    cfg: AdaptConfig,
-                    abort_path: Path | None = None) -> tuple[AdaptModel, float]:
+                    cfg: AdaptConfig) -> tuple[AdaptModel, float]:
     """Minimize smoothed cross entropy on the labeled source; returns accuracy too.
 
-    A step that leaves a non-finite gradient or weight stops the run: the
-    last finite model is saved to abort_path (when given) and
-    TrainingAborted raises, naming the epoch and the step within it.
+    A step that leaves a non-finite gradient or weight stops the run:
+    TrainingAborted raises, naming the epoch and the step within it and
+    carrying the last finite model. No file is written.
     """
     if source.labels is None:
         raise ConfigError("pretraining requires a labeled source dataset")
@@ -253,11 +257,9 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
             try:
                 model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum)
             except FloatingPointError as exc:
-                if abort_path is not None:
-                    save_model(model, abort_path)
                 raise TrainingAborted(
                     f"pretraining aborted at epoch {epoch}, step {step}: {exc}",
-                    epoch * math.ceil(n / cfg.batch_size) + step, abort_path) from exc
+                    epoch * math.ceil(n / cfg.batch_size) + step, model) from exc
     return model, accuracy(model, source)
 
 

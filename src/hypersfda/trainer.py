@@ -93,13 +93,6 @@ class MetricsRecord:
             "neighbor_agreement": self.neighbor_agreement,
         }
 
-    def full_dict(self) -> dict:
-        out = self.stream_dict()
-        out["misleading_ratio"] = (
-            list(self.misleading_ratio) if self.misleading_ratio is not None else None
-        )
-        return out
-
 
 @dataclass
 class TrainerState:
@@ -276,33 +269,23 @@ def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptCo
                           f"the run's end at {max_iter} ({cfg.epochs} epochs)")
 
 
-def _aborted(state: TrainerState, t: int, abort_path: str | Path | None,
-             exc: FloatingPointError) -> TrainingAborted:
-    """The abort of iteration t, after saving state to abort_path when given."""
-    saved = None if abort_path is None else Path(abort_path)
-    if saved is not None:
-        save_checkpoint(state, saved)
-    return TrainingAborted(f"aborted at iteration {t}: {exc}", t, saved)
-
-
 def adapt(
     model: AdaptModel,
     target: EmbeddingDataset,
     cfg: AdaptConfig,
     resume_from: TrainerState | None = None,
-    stop_after: int | None = None,
-    abort_path: str | Path | None = None,
     iteration_callback: Callable[[TrainerState, MetricsRecord], None] | None = None,
 ) -> tuple[AdaptModel, list[MetricsRecord], TrainerState]:
     """Run the adaptation loop; returns (model, new metrics, final state).
 
-    `stop_after` limits how many iterations this call executes (for
-    checkpoint/resume); `resume_from` continues a copy of a previous state
-    under the same config and target, leaving the caller's state as it was.
-    check_adapt_inputs refuses inputs the run cannot use.
-    On a non-finite loss, gradient or post-step output, or a refresh that
-    overflows, the last good state is saved to `abort_path` (when given)
-    and TrainingAborted raises. A first refresh that overflows raises
+    `resume_from` continues a copy of a previous state under the same
+    config and target, leaving the caller's state as it was.
+    `iteration_callback(state, record)` runs after every iteration, with
+    the state whole at the next iteration. check_adapt_inputs refuses
+    inputs the run cannot use. On a non-finite loss, gradient or post-step
+    output, or a refresh that overflows, TrainingAborted raises carrying
+    the last good state, the state before the failing iteration; this
+    function writes no file. A first refresh that overflows raises
     ConfigError: the model given is at fault.
     """
     check_adapt_inputs(model, target, cfg, resume_from)
@@ -333,9 +316,8 @@ def adapt(
     # this call's alone: a refresh or a resume starts it with a full search
     neighbor_cache = NeighborCache()
     start = state.iteration
-    stop = max_iter if stop_after is None else min(max_iter, start + stop_after)
 
-    for t in range(start, stop):
+    for t in range(start, max_iter):
         # iteration 0's refresh happens at state construction; afterwards a
         # refresh is due whenever t hits the interval and was not already done
         if t % cfg.t_in == 0 and t != state.refreshed_at:
@@ -343,7 +325,7 @@ def adapt(
                 _, state.bank, state.clusters, state.known_mask = refresh_hypergraph(
                     state.model, target, cfg)
             except FloatingPointError as exc:
-                raise _aborted(state, t, abort_path, exc) from exc
+                raise TrainingAborted(f"aborted at iteration {t}: {exc}", t, state) from exc
             state.refreshed_at = t
 
         epoch, pos = divmod(t, per_epoch)
@@ -356,7 +338,7 @@ def adapt(
         if batch.size > 0:
             x = target.features[batch]
             # copies (fancy indexing), so an abort can rewind the in-place
-            # EMA update and checkpoint the exact pre-iteration state
+            # EMA update and hand over the exact pre-iteration state
             q_prev = state.ema.q[batch]
             stamp_prev = state.ema.last_update_iter[batch]
             try:
@@ -380,7 +362,7 @@ def adapt(
             except FloatingPointError as exc:
                 state.ema.q[batch] = q_prev
                 state.ema.last_update_iter[batch] = stamp_prev
-                raise _aborted(state, t, abort_path, exc) from exc
+                raise TrainingAborted(f"aborted at iteration {t}: {exc}", t, state) from exc
             state.model = new_model
             state.velocity = new_velocity
             state.bank.features[batch] = knn_safe_features(z_post)

@@ -3,11 +3,13 @@
 Everything here is written straight-line (plain loops, dense linear
 algebra) so the package's vectorized/sparse/iterative code paths can be
 checked against naive but obviously-correct counterparts. Keep this module
-free of imports from hypersfda internals beyond public API types; the
+free of imports from hypersfda internals beyond the public API; the
 exceptions are the bitwise solver oracle, which must share the solver's
 tolerances and residual to reproduce its flags, and the neighbor-search
 oracle, which must pad its columns as the package does. `cli_options` lists the
-flags a subcommand registers, for the CLI and API-surface tests.
+flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
+stops an `adapt` run early, for the checkpoint and resume tests, and
+`to_dense` spells out a relation matrix.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from hypersfda import ConfigError, EmaState, RelationMatrix
+from hypersfda import ConfigError, EmaState, RelationMatrix, adapt
 from hypersfda.hypergraph import (
     COLUMN_TILE,
     SOLVER_KKT_TOL,
@@ -32,6 +34,39 @@ def dense_relation(X: np.ndarray) -> RelationMatrix:
     """A dense square X as a relation matrix: column j holds X[:, j] at rows arange(n)."""
     n = X.shape[0]
     return RelationMatrix(np.tile(np.arange(n), (n, 1)), np.ascontiguousarray(X.T))
+
+
+def to_dense(H: RelationMatrix) -> np.ndarray:
+    """H as a dense n x n array: column j holds H.values[j] at rows H.members[j]."""
+    n = len(H.members)
+    out = np.zeros((n, n))
+    out[H.members, np.arange(n)[:, None]] = H.values
+    return out
+
+
+class _Stop(Exception):
+    """Ends an adapt run from its iteration callback, carrying the state."""
+
+
+def adapt_for(model, target, cfg, iterations: int, resume_from=None):
+    """adapt for at most `iterations` (>= 1) iterations: (model, records, state).
+
+    The iteration callback stops the run once it has seen `iterations`
+    records. The state is whole then: the last iteration t is complete and
+    state.iteration is t + 1. A run that ends first returns adapt's result.
+    """
+    records = []
+
+    def count(state, record):
+        records.append(record)
+        if len(records) == iterations:
+            raise _Stop(state)
+
+    try:
+        return adapt(model, target, cfg, resume_from=resume_from, iteration_callback=count)
+    except _Stop as stop:
+        state = stop.args[0]
+        return state.model, records, state
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from hypersfda.objective import adaptive_loss_batch, ema_update_batch, kl_regula
 from hypersfda.trainer import iterations_per_epoch
 
 from helpers import (
+    adapt_for,
     central_difference,
     exhaustive_threshold_split,
     make_bimodal_predictions,
@@ -63,6 +64,7 @@ from helpers import (
     ref_kkt_residual,
     ref_pipeline,
     rng_for,
+    to_dense,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -215,7 +217,7 @@ def test_criterion_3_hypergraph_invariants_and_reference():
         assert (loops >= 1.0).all() and (loops <= np.e).all()
         merged = merge_self_loops(neighbors, affinity, loops)
         H = build_relation_matrix(neighbors, merged)
-        dense = H.toarray()
+        dense = to_dense(H)
         assert np.count_nonzero(dense) == k * n
         for j in range(n):
             support = np.flatnonzero(dense[:, j])
@@ -235,7 +237,7 @@ def test_criterion_3_hypergraph_invariants_and_reference():
             worst_ref = max(
                 worst_ref,
                 float(np.abs(arts.selfloops - ref["selfloops"]).max()),
-                float(np.abs(arts.relation.toarray() - ref["H"]).max()),
+                float(np.abs(to_dense(arts.relation) - ref["H"]).max()),
                 float(np.abs(arts.compressed - ref["compressed"]).max()),
             )
             assert np.array_equal(arts.clusters, ref["clusters"])
@@ -403,7 +405,7 @@ def test_criterion_8_determinism_and_resume(tmp_path):
         runs.append(metrics)
     identical = blobs[0] == blobs[1]
 
-    _, head_metrics, mid_state = adapt(model, target, cfg, stop_after=4)
+    _, head_metrics, mid_state = adapt_for(model, target, cfg, 4)
     mid_path = tmp_path / "mid.ckpt"
     save_checkpoint(mid_state, mid_path)
     _, tail_metrics, final_state = adapt(

@@ -4,21 +4,25 @@ The benchmark's traced run wraps engine functions listed by name in
 `bench/workloads.py`, and its cli workload passes flags to the CLI from
 `bench/rep.py`; a renamed or deleted function or flag fails every
 repetition but no other test. `hypersfda.__all__` is the public API. The
-engine needs numpy alone; scipy is a test dependency.
+engine needs numpy alone; scipy is a test dependency. Every name the
+package defines is used outside the tests.
 """
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import hypersfda
 
 from helpers import cli_options
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def load_workloads():
@@ -92,3 +96,26 @@ def test_engine_runs_without_scipy():
     # a labeled target runs the per-iteration neighbor search too; a plain
     # np.unique over its void rows would import numpy.ma
     assert out.stdout == "3 [] False\n"
+
+
+def test_every_package_name_is_used_outside_the_tests():
+    """Each function, class, method and module-level upper-case constant of
+    the package (dunders aside) is named in src/, bench/, scripts/ or
+    README.md somewhere besides its definitions: code that only tests reach
+    belongs in tests/helpers.py."""
+    package = Path(hypersfda.__file__).resolve().parent
+    defined = Counter()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(node.name for node in ast.walk(tree) if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        defined.update(target.id for node in tree.body if isinstance(node, ast.Assign)
+                       for target in node.targets
+                       if isinstance(target, ast.Name) and target.id.isupper())
+    named = Counter(word for path in (
+        *package.glob("*.py"), *BENCH.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+        ROOT / "README.md") for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = sorted(name for name, count in defined.items()
+                    if not (name.startswith("__") and name.endswith("__"))
+                    and named[name] <= count)
+    assert not unused

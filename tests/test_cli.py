@@ -8,7 +8,6 @@ import pytest
 from hypersfda import (
     AdaptConfig,
     EmbeddingDataset,
-    adapt,
     load_checkpoint,
     load_dataset,
     load_model,
@@ -17,7 +16,7 @@ from hypersfda import (
 )
 from hypersfda.cli import _COMMAND_FIELDS, main
 
-from helpers import cli_options
+from helpers import adapt_for, cli_options
 
 STREAM_KEYS = {
     "iter", "total", "l_ada_pull", "l_ada_push", "l_reg", "lambda",
@@ -282,7 +281,7 @@ class TestAdapt:
         model = load_model(workspace / "source_model.ckpt")
         target = load_dataset(workspace / "target.csv")
         cfg = AdaptConfig(seed=0, k=4, h=3, m_prime=4, batch_size=32, epochs=2, t_in=2)
-        _, _, state = adapt(model, target, cfg, stop_after=2)
+        _, _, state = adapt_for(model, target, cfg, 2)
         save_checkpoint(state, tmp_path / "partial.ckpt")
         return tmp_path / "partial.ckpt"
 

@@ -59,17 +59,11 @@ class TestShiftSpec:
         with pytest.raises(ConfigError):
             ShiftSpec(noise_sigma=-0.1)
 
-    def test_prior_drift_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            ShiftSpec(class_prior_drift=[0.5, 0.4])
-
-    def test_translation_vector_forms(self):
-        assert np.allclose(ShiftSpec().translation_vector(3), 0.0)
-        assert np.allclose(ShiftSpec(translation=2.0).translation_vector(3), 2.0)
-        vec = ShiftSpec(translation=[1.0, 0.0, -1.0]).translation_vector(3)
-        assert np.array_equal(vec, [1.0, 0.0, -1.0])
-        with pytest.raises(ConfigError):
-            ShiftSpec(translation=[1.0, 2.0]).translation_vector(3)
+    def test_translation_adds_to_every_target_coordinate(self):
+        src0, tgt0 = gen_two_moons_domains(50, 50, ShiftSpec(), seed=1, dim=4)
+        src, tgt = gen_two_moons_domains(50, 50, ShiftSpec(translation=0.5), seed=1, dim=4)
+        assert np.array_equal(src.features, src0.features)
+        assert np.array_equal(tgt.features, tgt0.features + 0.5)
 
 
 class TestGaussianDomains:
@@ -125,13 +119,6 @@ class TestGaussianDomains:
                 gaps.append(np.linalg.norm(class_means(src) - class_means(tgt)))
             wins += gaps[1] > gaps[0]
         assert wins >= 5
-
-    def test_prior_drift_changes_label_frequencies(self):
-        drift = np.array([0.7, 0.1, 0.1, 0.1])
-        shift = ShiftSpec(class_prior_drift=drift, seed=0)
-        _, tgt = gen_gaussian_domains(4, 6, 400, 4000, shift, seed=0)
-        freq = np.bincount(tgt.labels, minlength=4) / tgt.n
-        assert abs(freq[0] - 0.7) < 0.05
 
     def test_per_class_sigma_scales_spread(self):
         sig = (0.5, 2.0)

@@ -44,6 +44,7 @@ from helpers import (
     ref_pipeline,
     ref_solve_affinity_batch,
     rng_for,
+    to_dense,
 )
 
 
@@ -409,6 +410,40 @@ class TestActiveSetSolver:
         assert certified.tolist() == [False, True]
         assert converged[1]
 
+    @pytest.mark.parametrize("anchor, coefficient", [(1.0, 0.0), (1e300, np.nan)])
+    def test_step_zero_rows_end_the_fallback_at_once(self, monkeypatch, anchor, coefficient):
+        # 2 * lambda_max overflows, so the step is 0 and the first sweep is a
+        # fixed point: 0, or NaN where the linear term overflows too. One
+        # residual check settles it, not SOLVER_MAX_ITER of them.
+        calls = []
+        residual = hypergraph._batch_kkt_residual
+        monkeypatch.setattr(hypergraph, "_batch_kkt_residual",
+                            lambda *args: calls.append(1) or residual(*args))
+        neighbors = np.full((1, 3, 2), 7e153)
+        gram = np.einsum("nij,nkj->nik", neighbors, neighbors)
+        c = 2.0 * np.einsum("nij,nj->ni", neighbors, np.full((1, 2), anchor))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, converged = hypergraph._fista(gram, c, 2.0)
+        assert len(calls) == 1
+        assert np.array_equal(a, np.full((1, 3), coefficient), equal_nan=True)
+        assert converged.tolist() == [False]
+
+    def test_default_rounds_leave_a_finite_row_to_the_fallback(self):
+        # 8 neighbors in 3 dimensions: the support rule cycles, and FISTA
+        # certifies what the default active-set rounds cannot
+        rng = np.random.default_rng(108)
+        neighbors = rng.standard_normal((1, 8, 3))
+        anchors = rng.standard_normal((1, 3))
+        _, certified = active_set(anchors, neighbors, 0.5)
+        assert certified.tolist() == [False]
+        gram = np.einsum("nij,nkj->nik", neighbors, neighbors)
+        c = 2.0 * np.einsum("nij,nj->ni", neighbors, anchors)
+        a, converged = hypergraph._fista(gram, c, 0.5)
+        assert converged.tolist() == [True]
+        assert ref_kkt_residual(a[0], anchors[0], neighbors[0], 0.5) <= SOLVER_KKT_TOL
+        solved, flags = solve_affinity_batch(anchors, neighbors, 0.5)
+        assert solved.tobytes() == a.tobytes() and flags.all()
+
 
 class TestHyperedges:
     def test_structure_and_anchor_coefficient(self):
@@ -500,7 +535,7 @@ class TestRelationMatrix:
         neighbors, affinity, _ = build_hyperedges(feats, k=5, alpha=2.0)
         loops = self_loop_affinities(neighbors, preds)
         H = build_relation_matrix(neighbors, merge_self_loops(neighbors, affinity, loops))
-        dense = H.toarray()
+        dense = to_dense(H)
         assert dense.shape == (25, 25)
         assert np.count_nonzero(dense) == 5 * 25
         for j in range(25):
@@ -513,7 +548,7 @@ class TestRelationMatrix:
         preds = rng_for(407).dirichlet(np.ones(3), size=9)
         ref = ref_pipeline(feats, preds, k=4, alpha=2.0, h=3, m_prime=8)
         art = build_artifacts(feats, preds, k=4, alpha=2.0, h=3, m_prime=8, seed=0)
-        assert np.abs(art.relation.toarray() - ref["H"]).max() < 1e-6
+        assert np.abs(to_dense(art.relation) - ref["H"]).max() < 1e-6
 
 
 class TestPcaRows:
@@ -565,7 +600,7 @@ class TestPcaRows:
 
     @staticmethod
     def dense_top(H):
-        dense = H.toarray()
+        dense = to_dense(H)
         centred = dense - dense.mean(axis=0)
         w, v = np.linalg.eigh(centred.T @ centred)
         order = np.argsort(w, kind="stable")[::-1]
@@ -658,7 +693,7 @@ class TestFullPipeline:
             assert np.abs(art.selfloops - ref["selfloops"]).max() < 1e-6
         else:
             assert art.selfloops is None
-        assert np.abs(art.relation.toarray() - ref["H"]).max() < 1e-6
+        assert np.abs(to_dense(art.relation) - ref["H"]).max() < 1e-6
         assert np.abs(art.compressed - ref["compressed"]).max() < 1e-6
         assert np.array_equal(art.clusters, ref["clusters"])
 
@@ -672,6 +707,6 @@ class TestFullPipeline:
         assert np.array_equal(art.converged, converged) and converged.all()
         assert np.array_equal(art.selfloops, loops)
         assert np.array_equal(art.affinity, merge_self_loops(neighbors, affinity, loops))
-        assert np.array_equal(art.relation.toarray(),
-                              build_relation_matrix(neighbors, art.affinity).toarray())
+        assert np.array_equal(to_dense(art.relation),
+                              to_dense(build_relation_matrix(neighbors, art.affinity)))
         assert np.array_equal(art.compressed, pca_rows(art.relation, 11, seed=0)[0])

@@ -37,6 +37,7 @@ from hypersfda.trainer import (
 )
 
 from helpers import (
+    adapt_for,
     exhaustive_threshold_split,
     make_bimodal_predictions,
     ref_background_mask,
@@ -325,7 +326,7 @@ class TestAdaptRun:
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
         full_model, full_metrics, full_state = adapt(model, tgt, cfg)
-        part_model, part_metrics, part_state = adapt(model, tgt, cfg, stop_after=2)
+        part_model, part_metrics, part_state = adapt_for(model, tgt, cfg, 2)
         assert len(part_metrics) == 2
         res_model, res_metrics, res_state = adapt(
             part_model, tgt, cfg, resume_from=part_state
@@ -341,7 +342,7 @@ class TestAdaptRun:
     def test_resume_leaves_the_state_and_can_repeat(self):
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
-        part_model, _, part_state = adapt(model, tgt, cfg, stop_after=3)
+        part_model, _, part_state = adapt_for(model, tgt, cfg, 3)
         first = adapt(part_model, tgt, cfg, resume_from=part_state)
         assert part_state.iteration == 3
         second = adapt(part_model, tgt, cfg, resume_from=part_state)
@@ -355,7 +356,7 @@ class TestAdaptRun:
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
         full_model, full_metrics, _ = adapt(model, tgt, cfg)
-        _, part_metrics, part_state = adapt(model, tgt, cfg, stop_after=3)
+        _, part_metrics, part_state = adapt_for(model, tgt, cfg, 3)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(part_state, path)
         assert not (tmp_path / "mid.ckpt.tmp").exists()
@@ -367,7 +368,7 @@ class TestAdaptRun:
 
     def test_checkpoint_roundtrip_preserves_every_field(self, tmp_path):
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=3)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 3)
         path = tmp_path / "state.ckpt"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
@@ -388,7 +389,7 @@ class TestAdaptRun:
         cfg = AdaptConfig(seed=0, **QUICK)
         blobs = []
         for name in ("a.ckpt", "b.ckpt"):
-            _, _, state = adapt(model, tgt, cfg, stop_after=2)
+            _, _, state = adapt_for(model, tgt, cfg, 2)
             save_checkpoint(state, tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
@@ -397,7 +398,7 @@ class TestAdaptRun:
         import copy
 
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=2)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 2)
         save_checkpoint(state, tmp_path / "mid.ckpt")
         loaded = load_checkpoint(tmp_path / "mid.ckpt")
         dup = copy.deepcopy(loaded)
@@ -429,11 +430,11 @@ class TestAdaptRun:
     def test_divergent_run_aborts_with_checkpoint(self, tmp_path):
         model, tgt = small_problem(labeled=False)
         cfg = AdaptConfig(seed=0, lr=1e300, **QUICK)
-        path = tmp_path / "abort.ckpt"
         with pytest.raises(TrainingAborted) as exc_info:
-            adapt(model, tgt, cfg, abort_path=path)
+            adapt(model, tgt, cfg)
         exc = exc_info.value
-        assert exc.checkpoint_path == path and path.exists()
+        path = tmp_path / "abort.ckpt"
+        save_checkpoint(exc.last_good, path)
         saved = load_checkpoint(path)
         assert saved.iteration == exc.iteration
         # the rescued state predates the failing iteration entirely
@@ -442,11 +443,19 @@ class TestAdaptRun:
             assert np.isfinite(t).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_abort_without_path_sets_none(self):
+    def test_aborts_write_no_file(self, tmp_path, monkeypatch):
+        # the last good state or model is the caller's to save
+        monkeypatch.chdir(tmp_path)
         model, tgt = small_problem(labeled=False)
         with pytest.raises(TrainingAborted) as exc_info:
             adapt(model, tgt, AdaptConfig(seed=0, lr=1e300, **QUICK))
-        assert exc_info.value.checkpoint_path is None
+        assert isinstance(exc_info.value.last_good, TrainerState)
+        src, _ = gen_gaussian_domains(3, 8, 60, 60, ShiftSpec(), seed=0)
+        with pytest.raises(TrainingAborted, match="pretraining aborted") as exc_info:
+            pretrain_source(init_model(8, 3, seed=0), src, 5, AdaptConfig(seed=0, lr=1e300))
+        last = exc_info.value.last_good
+        assert isinstance(last, AdaptModel) and last.non_finite() is None
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_model_overflowing_on_the_target_is_refused(self):
@@ -485,14 +494,14 @@ class TestCheckpointFormat:
 
     def test_load_model_reads_trainer_checkpoint_prefix(self, tmp_path):
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=1)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 1)
         path = tmp_path / "full.ckpt"
         save_checkpoint(state, path)
         assert_models_equal(load_model(path), state.model)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=1)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 1)
         path = tmp_path / "full.ckpt"
         save_checkpoint(state, path)
         blob = path.read_bytes()
@@ -504,7 +513,7 @@ class TestCheckpointFormat:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=1)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 1)
         path = tmp_path / "full.ckpt"
         save_checkpoint(state, path)
         path.write_bytes(path.read_bytes() + b"x")
@@ -516,7 +525,7 @@ class TestCheckpointFormat:
     ])
     def test_non_finite_state_rejected(self, tmp_path, where, what):
         model, tgt = small_problem()
-        _, _, state = adapt(model, tgt, AdaptConfig(seed=0, **QUICK), stop_after=1)
+        _, _, state = adapt_for(model, tgt, AdaptConfig(seed=0, **QUICK), 1)
         where(state)[0, 0] = np.nan
         save_checkpoint(state, tmp_path / "nan.ckpt")
         with pytest.raises(CheckpointError, match=f"non-finite values in {what}"):
