@@ -44,12 +44,7 @@ from .model import (
     save_model,
     sgd_step,
 )
-from .objective import (
-    EmaState,
-    LossBreakdown,
-    lambda_schedule,
-    total_loss,
-)
+from .objective import EmaState, lambda_schedule
 from .trainer import (
     MemoryBank,
     MetricsRecord,
@@ -73,7 +68,6 @@ __all__ = [
     "EmbeddingDataset",
     "GradientSet",
     "HypergraphArtifacts",
-    "LossBreakdown",
     "MemoryBank",
     "MetricsRecord",
     "RelationMatrix",
@@ -107,5 +101,4 @@ __all__ = [
     "save_model",
     "self_loop_affinities",
     "sgd_step",
-    "total_loss",
 ]

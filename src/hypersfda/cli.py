@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # a diverged run is reported by its exit code and error line, not numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except TrainingAborted:  # reported where its last good state was saved
         return RUNTIME_ABORT
     except (ConfigError, DatasetFormatError, CheckpointError) as exc:

@@ -264,17 +264,13 @@ def gen_two_moons_domains(
 
 
 def save_dataset(ds: EmbeddingDataset, path: str | Path) -> None:
-    """Write a dataset as UTF-8 CSV; floats use shortest round-trip form."""
-    labeled = 1 if ds.labeled else 0
-    lines = [
-        f"{FORMAT_MAGIC} {FORMAT_VERSION} dim={ds.dim} classes={ds.class_count} "
-        f"labeled={labeled} domain={ds.domain_tag}"
-    ]
-    for i in range(ds.n):
-        label = str(int(ds.labels[i])) if ds.labeled else "-"
-        row = ",".join(repr(float(v)) for v in ds.features[i])
-        lines.append(f"{label},{row}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a dataset as UTF-8 CSV, row by row; floats use shortest round-trip form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{FORMAT_MAGIC} {FORMAT_VERSION} dim={ds.dim} classes={ds.class_count} "
+                 f"labeled={int(ds.labeled)} domain={ds.domain_tag}\n")
+        for i in range(ds.n):
+            label = str(int(ds.labels[i])) if ds.labeled else "-"
+            fh.write(f"{label},{','.join(map(repr, ds.features[i].tolist()))}\n")
 
 
 def _parse_header(line: str) -> dict:
@@ -311,17 +307,16 @@ def _parse_header(line: str) -> dict:
 def load_dataset(path: str | Path) -> EmbeddingDataset:
     """Parse a dataset CSV; errors carry the 1-based offending line number."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DatasetFormatError("file is not UTF-8 text", line=line) from None
-    lines = text.splitlines()
     if not lines:
         raise DatasetFormatError("empty file", line=1)
     header = _parse_header(lines[0])
     dim, classes, labeled = header["dim"], header["classes"], header["labeled"]
 
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     labels: list[int] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -349,11 +344,11 @@ def load_dataset(path: str | Path) -> EmbeddingDataset:
                 f"unlabeled file must use '-' in the label column, got {label_cell!r}",
                 line=lineno,
             )
-        try:
-            values = [float(c) for c in cells[1:]]
+        try:  # numpy parses str cells with float()'s rules and error text
+            values = np.array(cells[1:], dtype=np.float64)
         except ValueError as exc:
             raise DatasetFormatError(f"bad float: {exc}", line=lineno) from None
-        if not all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DatasetFormatError("non-finite feature value", line=lineno)
         rows.append(values)
 

@@ -255,16 +255,18 @@ def _fista(gram: np.ndarray, c: np.ndarray, alpha: float) -> tuple[np.ndarray, n
     neighbor Gram matrix, computed exactly per instance. An instance
     converges when its step is below SOLVER_STEP_TOL and its KKT residual
     at most SOLVER_KKT_TOL; the residual is evaluated only once every step
-    is below SOLVER_STEP_TOL, and on the last sweep. An instance whose
-    2 * lambda_max overflows gets step 0, so its first sweep is a fixed
-    point (0, or NaN): such instances are left out of both tests, and the
-    solve stops once every other instance has converged. gram and c are
-    the instances' Gram matrices and linear terms. Returns (coefficients,
-    converged flags).
+    is below SOLVER_STEP_TOL, and on the last sweep. An instance whose Gram
+    matrix or 2 * lambda_max overflows gets step 0 (eigvalsh sees only
+    finite Gram matrices), so its first sweep is a fixed point (0, or NaN):
+    such instances are left out of both tests, and the solve stops once
+    every other instance has converged. gram and c are the instances' Gram
+    matrices and linear terms. Returns (coefficients, converged flags).
     """
     n, k1 = c.shape
     # the smooth term's gradient is Lipschitz with constant 2 * lambda_max(gram)
-    lam = np.linalg.eigvalsh(gram)[:, -1]
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    lam = np.full(n, np.inf)
+    lam[finite] = np.linalg.eigvalsh(gram[finite])[:, -1]
     step = 1.0 / (2.0 * lam + 1e-12)
     frozen = step == 0.0
 

@@ -10,7 +10,6 @@ prediction p_i.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,21 +37,6 @@ class EmaState:
             q=np.zeros((n, class_count)),
             last_update_iter=np.full(n, -1, dtype=np.int64),
         )
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Batch loss components; total = pull + push + eta * reg."""
-
-    l_ada_pull: float
-    l_ada_push: float
-    l_reg: float
-    total: float
-    lambda_used: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.total):
-            raise FloatingPointError("non-finite loss total")
 
 
 def lambda_schedule(iteration: int, max_iter: int, beta: float) -> float:
@@ -127,19 +111,3 @@ def kl_regularizer_batch(q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.n
     terms = np.where(q > 0, q * np.log(np.maximum(q, PROB_FLOOR) / p_safe), 0.0)
     return terms.sum(axis=1), -q / p_safe
 
-
-def total_loss(pull_terms: np.ndarray, push_terms: np.ndarray,
-               reg_terms: np.ndarray, eta: float, lambda_used: float) -> LossBreakdown:
-    """Sum per-sample terms into a batch LossBreakdown with total included."""
-    if eta < 0:
-        raise ConfigError(f"eta must be >= 0, got {eta}")
-    pull = float(pull_terms.sum())
-    push = float(push_terms.sum())
-    reg = float(reg_terms.sum())
-    return LossBreakdown(
-        l_ada_pull=pull,
-        l_ada_push=push,
-        l_reg=reg,
-        total=pull + push + eta * reg,
-        lambda_used=float(lambda_used),
-    )

@@ -47,7 +47,6 @@ from .objective import (
     ema_update_batch,
     kl_regularizer_batch,
     lambda_schedule,
-    total_loss,
 )
 
 
@@ -68,7 +67,10 @@ class MemoryBank:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One evaluation or training-iteration snapshot."""
+    """One evaluation or training-iteration snapshot.
+
+    The losses are batch sums: total = l_ada_pull + l_ada_push + eta * l_reg.
+    """
 
     iteration: int
     total: float | None = None
@@ -335,6 +337,7 @@ def adapt(
         batch = batch[state.known_mask[batch]]
 
         lam = lambda_schedule(t, max_iter, cfg.beta)
+        pull = push = reg = total = 0.0
         if batch.size > 0:
             x = target.features[batch]
             # copies (fancy indexing), so an abort can rewind the in-place
@@ -344,13 +347,17 @@ def adapt(
             try:
                 z, p = forward(state.model, x)
                 batch_clusters = state.clusters[batch]
-                pull, push, grad_ada = adaptive_loss_batch(
+                pull_terms, push_terms, grad_ada = adaptive_loss_batch(
                     p, state.bank.predictions[batch_clusters],
                     _background_mask(batch, batch_clusters), cfg.gamma, lam
                 )
                 q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
-                reg_vals, grad_reg = kl_regularizer_batch(q_rows, p)
-                breakdown = total_loss(pull, push, reg_vals, cfg.eta, lam)
+                reg_terms, grad_reg = kl_regularizer_batch(q_rows, p)
+                pull, push = float(pull_terms.sum()), float(push_terms.sum())
+                reg = float(reg_terms.sum())
+                total = pull + push + cfg.eta * reg
+                if not math.isfinite(total):
+                    raise FloatingPointError("non-finite loss total")
                 upstream = grad_ada + cfg.eta * grad_reg
                 grads = backward(state.model, x, z, p, upstream)
                 new_model, new_velocity = sgd_step(
@@ -367,14 +374,10 @@ def adapt(
             state.velocity = new_velocity
             state.bank.features[batch] = knn_safe_features(z_post)
             state.bank.predictions[batch] = p_post
-        else:
-            breakdown = total_loss(
-                np.zeros(0), np.zeros(0), np.zeros(0), cfg.eta, lam
-            )
 
+        losses = dict(total=total, l_ada_pull=pull, l_ada_push=push, l_reg=reg, lambda_used=lam)
         record = (replace(evaluate(state.model, target, state.bank, cfg.h, neighbor_cache),
-                          iteration=t, **vars(breakdown)) if labeled
-                  else MetricsRecord(t, **vars(breakdown)))
+                          iteration=t, **losses) if labeled else MetricsRecord(t, **losses))
         metrics.append(record)
         state.iteration = t + 1
         if iteration_callback is not None:

@@ -9,7 +9,8 @@ tolerances and residual to reproduce its flags, and the neighbor-search
 oracle, which must pad its columns as the package does. `cli_options` lists the
 flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
 stops an `adapt` run early, for the checkpoint and resume tests, and
-`to_dense` spells out a relation matrix.
+`to_dense` spells out a relation matrix. `ref_csv_text` formats a dataset
+CSV value by value, as one string.
 """
 from __future__ import annotations
 
@@ -34,6 +35,16 @@ def dense_relation(X: np.ndarray) -> RelationMatrix:
     """A dense square X as a relation matrix: column j holds X[:, j] at rows arange(n)."""
     n = X.shape[0]
     return RelationMatrix(np.tile(np.arange(n), (n, 1)), np.ascontiguousarray(X.T))
+
+
+def ref_csv_text(ds) -> str:
+    """A dataset's CSV text built as a list of lines and joined: the writer's oracle."""
+    lines = [f"#hypersfda-embeddings v1 dim={ds.dim} classes={ds.class_count} "
+             f"labeled={1 if ds.labeled else 0} domain={ds.domain_tag}"]
+    for i in range(ds.n):
+        label = str(int(ds.labels[i])) if ds.labeled else "-"
+        lines.append(label + "," + ",".join(repr(float(v)) for v in ds.features[i]))
+    return "\n".join(lines) + "\n"
 
 
 def to_dense(H: RelationMatrix) -> np.ndarray:

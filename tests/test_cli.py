@@ -142,7 +142,7 @@ class TestPretrain:
         assert code == 2
         assert "no such file" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_3_and_saves_last_finite_model(self, workspace, tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(
@@ -348,7 +348,7 @@ class TestAdapt:
         assert "k-1=699" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_state_resumes(self, workspace, tmp_path):
         args = ["adapt", "--model", workspace / "source_model.ckpt",
                 "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0", "--quiet"]
@@ -406,7 +406,7 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_3_and_saves_state(self, workspace, tmp_path, capsys):
         code = run_cli(
             "adapt", "--model", workspace / "source_model.ckpt",
@@ -420,7 +420,7 @@ class TestAdapt:
         for t in rescued.model.tensors():
             assert np.isfinite(t).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_keeps_completed_records(self, workspace, tmp_path, capsys):
         # 1e300 now aborts at iteration 0, on the post-step outputs; this rate
         # keeps iteration 0 finite and overflows at iteration 1
@@ -439,7 +439,7 @@ class TestAdapt:
 
     # steps at these rates leave finite weights whose outputs overflow the
     # iteration-2 refresh: in its PCA (the first two) or in the features
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("lr", ["9e151", "1e152", "1.1e152", "1.3e152"])
     def test_divergence_at_a_refresh_exits_3_and_saves_state(
             self, workspace, tmp_path, capsys, lr):

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypersfda import (
     load_dataset,
     save_dataset,
 )
+
+from helpers import ref_csv_text, rng_for
 
 
 def class_means(ds):
@@ -184,6 +187,28 @@ class TestSaveLoadRoundTrip:
         back = load_dataset(path)
         assert not back.labeled
         assert np.array_equal(back.features, ds.features)
+
+    @pytest.mark.parametrize("labels", [np.array([1, 0, 2]), None])
+    def test_writer_matches_value_by_value_formatting(self, tmp_path, labels):
+        feats = np.array([[-0.0, 5e-324, 1e308, -1.5e-7, 0.1],
+                          [0.1, -1.5e-7, 1e308, 5e-324, -0.0],
+                          [-1e308, -5e-324, 0.0, 1.5e-7, -0.1]])
+        ds = EmbeddingDataset(feats, labels, "target", 3)
+        save_dataset(ds, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == ref_csv_text(ds).encode("utf-8")
+        assert load_dataset(tmp_path / "d.csv").features.tobytes() == feats.tobytes()
+
+    def test_writer_holds_one_row_at_a_time(self, tmp_path):
+        # the whole file as one string is about 2.4 MB here
+        ds = EmbeddingDataset(rng_for(17).standard_normal((1000, 128)), None, "target", 2)
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert (tmp_path / "big.csv").read_bytes() == ref_csv_text(ds).encode("utf-8")
 
     @given(rows=st.lists(st.lists(st.floats(-1e12, 1e12, allow_nan=False,
                                             allow_infinity=False, width=64),

@@ -428,6 +428,16 @@ class TestActiveSetSolver:
         assert np.array_equal(a, np.full((1, 3), coefficient), equal_nan=True)
         assert converged.tolist() == [False]
 
+    @pytest.mark.parametrize("dim, coefficient", [(4, np.nan), (3, 0.0)])
+    def test_overflowing_gram_entries_take_the_frozen_path(self, dim, coefficient):
+        # at d = 4 the Gram entries overflow to inf, which eigvalsh cannot
+        # take; at d = 3 they stay finite and only 2 * lambda_max overflows
+        with np.errstate(all="ignore"):
+            a, converged = solve_affinity_batch(
+                np.ones((1, dim)), np.full((1, 3, dim), 7e153), 2.0)
+        assert np.array_equal(a, np.full((1, 3), coefficient), equal_nan=True)
+        assert converged.tolist() == [False]
+
     def test_default_rounds_leave_a_finite_row_to_the_fallback(self):
         # 8 neighbors in 3 dimensions: the support rule cycles, and FISTA
         # certifies what the default active-set rounds cannot

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersfda import AdaptConfig, ConfigError, EmaState, LossBreakdown, lambda_schedule
+from hypersfda import AdaptConfig, ConfigError, EmaState, lambda_schedule
 from hypersfda.objective import (
     adaptive_loss_batch,
     ema_update_batch,
     kl_regularizer_batch,
-    total_loss,
 )
 
 from helpers import (
@@ -278,22 +277,3 @@ class TestKlRegularizer:
             assert abs(values[i] - v) <= 1e-12
             assert np.abs(grads[i] - g).max() <= 1e-12
 
-
-class TestTotalLoss:
-    def test_sums_components(self):
-        out = total_loss(np.array([-1.0, -2.0]), np.array([0.5]), np.array([0.25, 0.25]), 2.0, 0.8)
-        assert out.l_ada_pull == -3.0 and out.l_ada_push == 0.5 and out.l_reg == 0.5
-        assert out.total == -3.0 + 0.5 + 2.0 * 0.5
-        assert out.lambda_used == 0.8
-
-    def test_rejects_negative_eta(self):
-        with pytest.raises(ConfigError):
-            total_loss(np.zeros(1), np.zeros(1), np.zeros(1), -0.5, 1.0)
-
-    def test_non_finite_total_raises(self):
-        with pytest.raises(FloatingPointError):
-            total_loss(np.array([np.inf]), np.zeros(1), np.zeros(1), 1.0, 1.0)
-
-    def test_breakdown_guards_nan(self):
-        with pytest.raises(FloatingPointError):
-            LossBreakdown(0.0, 0.0, 0.0, float("nan"), 1.0)

@@ -19,6 +19,7 @@ from hypersfda import (
     forward,
     gen_gaussian_domains,
     init_model,
+    lambda_schedule,
     load_checkpoint,
     load_model,
     open_set_split,
@@ -26,6 +27,7 @@ from hypersfda import (
     save_checkpoint,
     save_model,
 )
+from hypersfda import trainer
 from hypersfda.hypergraph import normalized_entropy
 from hypersfda.trainer import (
     TrainerState,
@@ -482,6 +484,56 @@ class TestAdaptRun:
         assert [it for it, _ in seen] == [1, 2, 3, 4]
         _, metrics, _ = adapt(model, tgt, AdaptConfig(seed=0, **QUICK))
         assert [rec for _, rec in seen] == metrics
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestLossRecord:
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_total_sums_the_recorded_terms(self, labeled):
+        model, tgt = small_problem(labeled=labeled)
+        cfg = AdaptConfig(seed=0, eta=0.7, **QUICK)
+        _, metrics, _ = adapt(model, tgt, cfg)
+        assert len(metrics) == 4
+        for rec in metrics:
+            assert bits(rec.total) == bits(rec.l_ada_pull + rec.l_ada_push + cfg.eta * rec.l_reg)
+            assert bits(rec.lambda_used) == bits(lambda_schedule(rec.iteration, 4, cfg.beta))
+
+    def test_empty_batches_record_zero_losses(self, monkeypatch):
+        # every sample unknown: no batch member is left to step on
+        model, tgt = small_problem(labeled=False)
+        monkeypatch.setattr(trainer, "open_set_split",
+                            lambda p: (np.empty(0, np.int64), np.arange(len(p))))
+        adapted, metrics, _ = adapt(model, tgt, AdaptConfig(seed=0, open_set=True, **QUICK))
+        assert_models_equal(adapted, model)
+        for rec in metrics:
+            assert [bits(v) for v in (rec.total, rec.l_ada_pull, rec.l_ada_push, rec.l_reg)] \
+                == [bits(0.0)] * 4
+
+    def test_non_finite_total_aborts_before_the_step(self, monkeypatch):
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, **QUICK)
+        _, _, after_1 = adapt_for(model, tgt, cfg, 2)
+        kl, calls = trainer.kl_regularizer_batch, []
+
+        def nan_at_iteration_2(q, p):
+            calls.append(1)
+            values, grad = kl(q, p)
+            return (np.full_like(values, np.nan) if len(calls) == 3 else values), grad
+
+        monkeypatch.setattr(trainer, "kl_regularizer_batch", nan_at_iteration_2)
+        seen = []
+        with pytest.raises(TrainingAborted, match="^aborted at iteration 2: non-finite loss total$"
+                           ) as exc_info:
+            adapt(model, tgt, cfg, iteration_callback=lambda _, rec: seen.append(rec))
+        last = exc_info.value.last_good
+        assert exc_info.value.iteration == 2 and last.iteration == 2
+        assert last.ema.q.tobytes() == after_1.ema.q.tobytes()
+        assert last.ema.last_update_iter.tobytes() == after_1.ema.last_update_iter.tobytes()
+        assert_models_equal(last.model, after_1.model)
+        assert [rec.iteration for rec in seen] == [0, 1]
 
 
 class TestCheckpointFormat:
