@@ -25,11 +25,14 @@ matrix H, held as the array pair it is (RelationMatrix): members (n, k),
 edge j's anchor then its neighbors, and values (n, k), their merged
 affinities, so column j holds values[j] at rows members[j]. The rows of
 H, compressed by PCA, define each node's high-order cluster; pca_rows
-runs Lanczos with full reorthogonalization on the centred covariance
-through H's two products, and stops when every top-m' Ritz pair's
-residual bound is below PCA_TOL relative to the largest Ritz value, or
-when the Krylov basis spans all n dimensions. A breakdown (an invariant
-subspace) restarts from a fresh seeded vector. Only numpy is needed.
+runs thick-restart Lanczos with full reorthogonalization on the centred
+covariance through H's two products. Its basis is one array of at most
+2m' + 16 vectors: when it is full and not converged, the top Ritz vectors
+and the residual direction replace it. The run stops when every top-m'
+Ritz pair's residual bound is below PCA_TOL relative to the largest Ritz
+value, or, when n is within that size, once the basis spans all n
+dimensions. A breakdown (an invariant subspace) continues from a fresh
+seeded vector. Only numpy is needed.
 Every function here is pure, apart from filling the NeighborCache a
 caller hands cosine_knn: no other input is modified.
 """
@@ -48,7 +51,6 @@ SECULAR_MAX_ITER = 50
 SOLVER_STEP_TOL = 1e-8
 SOLVER_KKT_TOL = 1e-6
 PCA_TOL = 1e-8
-PCA_BLOCK = 64
 ACTIVE_TOL = 1e-10
 NEIGHBOR_BLOCK = 64
 COLUMN_TILE = 8
@@ -488,38 +490,32 @@ def build_relation_matrix(neighbors: np.ndarray, affinity: np.ndarray) -> Relati
     return RelationMatrix(_members(neighbors), affinity)
 
 
-def _orthogonalize(blocks: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """w minus its projection on the orthonormal rows of blocks, block by block.
-
-    A second pass runs when the first removed more than 30% of the norm,
-    which leaves w orthogonal to working precision ("twice is enough").
-    """
-    before = np.linalg.norm(w)
-    for _ in range(2):
-        for block in blocks:
-            w = w - (block @ w) @ block
-        if np.linalg.norm(w) >= 0.7 * before:
-            break
-    return w
-
-
 def pca_rows(H: RelationMatrix, m_prime: int,
              seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-m' principal components of the rows of H, by Lanczos.
+    """Top-m' principal components of the rows of H, by thick-restart Lanczos.
 
     The covariance C = Xc^T Xc of the centred rows Xc = H - 1 mu^T is
     applied as H^T (H v) - n mu (mu . v), never formed. Lanczos builds an
-    orthonormal Krylov basis of C from a seeded random start, each new
-    vector reorthogonalized against the whole basis (_orthogonalize). The
-    basis lives in row blocks of PCA_BLOCK vectors, so memory grows with
-    the steps taken, never to n x n. From step 2m' on, every
-    max(10, s // 8) steps, the s x s tridiagonal T is diagonalized; the
-    run stops when the residual bound |beta_s S[s-1, i]| of each of the top
-    m' Ritz pairs is at most PCA_TOL * theta_1, or when the basis spans all
-    n dimensions. Both exits are exact. A breakdown (beta at most PCA_TOL
-    times the largest coefficient so far: an invariant subspace, as with
-    repeated eigenvalues) sets beta to 0 and restarts from a fresh vector
-    of the same generator, orthogonalized against the basis. A non-finite
+    orthonormal Krylov basis of C from a seeded random start. Each product
+    C q_j is orthogonalized against the last two basis vectors, then
+    against the whole basis by classical Gram-Schmidt, with a second pass
+    when the first removed more than 30% of the norm, which leaves it
+    orthogonal to working precision ("twice is enough"). The basis is one
+    preallocated array of cap = min(n, 2m' + 16) rows, so memory does not
+    grow with the steps. The projected matrix T is
+    held explicitly: column j holds the coefficients of C q_j on the basis,
+    and beta_j, the norm of what is left, on the next row. Each time the
+    basis is full, T is diagonalized; the run stops when the residual
+    bound |beta S[last, i]| of each of the top m' Ritz pairs is at most
+    PCA_TOL * theta_1, or when the basis spans all n dimensions (only
+    possible when n <= cap). Both exits are exact. Otherwise the run
+    restarts thick (Wu & Simon, 2000): the top (m' + cap) // 2 + 4 Ritz
+    vectors replace the basis, T becomes their Ritz values bordered by the
+    arrowhead row beta S[last, kept], and the residual direction is the
+    next basis vector. A breakdown (beta at most PCA_TOL times the largest
+    coefficient so far: an invariant subspace, as with repeated
+    eigenvalues) sets beta to 0 and takes as the next vector a fresh one of
+    the same generator, orthogonalized against the basis. A non-finite
     coefficient raises FloatingPointError. Components come in decreasing
     Ritz-value order; each one's largest-magnitude coordinate is positive.
     Returns (compressed rows (n, m'), components (n, m'), eigenvalues >= 0).
@@ -529,36 +525,53 @@ def pca_rows(H: RelationMatrix, m_prime: int,
         raise ConfigError(f"need 1 <= m_prime < n, got m_prime={m_prime}, n={n}")
     mu = H.values.sum(axis=1) / n  # column means
     rng = seeded_rng(seed, 41)
-    blocks, alphas, betas = [], [], [0.0]  # beta_0 = 0; T's off-diagonal is betas[1:-1]
-    q, breakdown, largest, check = np.zeros(n), True, 0.0, 2 * m_prime
-    for s in range(1, n + 1):
-        if breakdown:  # the start, or an invariant subspace found
-            w = _orthogonalize(blocks, rng.standard_normal(n))
-        q_prev, q = q, w / np.linalg.norm(w)
-        if (s - 1) % PCA_BLOCK == 0:
-            blocks.append(np.zeros((PCA_BLOCK, n)))
-        blocks[-1][(s - 1) % PCA_BLOCK] = q
-        w = H.rmatvec(H.matvec(q)) - (n * (mu @ q)) * mu - betas[-1] * q_prev
-        alphas.append(float(q @ w))
-        w = _orthogonalize(blocks, w - alphas[-1] * q)
-        beta = float(np.linalg.norm(w))
-        if not np.isfinite(alphas[-1] + beta):
-            raise FloatingPointError(f"non-finite Lanczos coefficient at step {s}")
-        largest = max(largest, abs(alphas[-1]), beta)
-        breakdown = beta <= PCA_TOL * largest
-        betas.append(0.0 if breakdown else beta)
-        if s >= check or s == n:
-            # eigh reads the lower triangle only
-            theta, S = np.linalg.eigh(np.diag(alphas) + np.diag(betas[1:-1], -1))
-            top = np.argsort(theta, kind="stable")[::-1][:m_prime]
-            if s == n or (np.abs(betas[-1] * S[-1, top]) <= PCA_TOL * theta[top[0]]).all():
+    cap = min(n, 2 * m_prime + 16)
+    keep = (m_prime + cap) // 2 + 4
+    Q, T = np.empty((cap, n)), np.zeros((cap + 1, cap))
+    w, s, breakdown, largest = rng.standard_normal(n), 0, True, 0.0
+    while True:
+        # the last two vectors first: a product then needs one full pass as a rule
+        h = np.zeros(s)
+        h[-2:] = Q[max(s - 2, 0):s] @ w
+        w = w - h[-2:] @ Q[max(s - 2, 0):s]
+        for _ in range(2):  # a second pass only when the first removed over 30% of the norm
+            c, before = Q[:s] @ w, np.linalg.norm(w)
+            w, h = w - c @ Q[:s], h + c
+            beta = float(np.linalg.norm(w))
+            if beta >= 0.7 * before:
                 break
-            check = s + max(10, s // 8)
+        if not breakdown:  # w was C q_{s-1}, not a fresh vector
+            T[:s, s - 1] = h
+            if not np.isfinite(h[-1] + beta):
+                raise FloatingPointError(f"non-finite Lanczos coefficient at basis size {s}")
+            largest = max(largest, abs(h[-1]), beta)
+            breakdown = beta <= PCA_TOL * largest
+            T[s, s - 1] = 0.0 if breakdown else beta
+            if s == cap:
+                theta, S = np.linalg.eigh(T[:s, :s])  # reads the lower triangle only
+                order = np.argsort(theta, kind="stable")[::-1]
+                top, kept = order[:m_prime], order[:keep]
+                if s == n or (np.abs(T[s, s - 1] * S[-1, top]) <= PCA_TOL * theta[top[0]]).all():
+                    break
+                for c0 in range(0, n, cap):  # in place, cap columns at a time
+                    Q[:keep, c0:c0 + cap] = S[:, kept].T @ Q[:, c0:c0 + cap]
+                T, arrow = np.zeros_like(T), T[s, s - 1] * S[-1, kept]
+                T[:keep + 1, :keep] = np.vstack((np.diag(theta[kept]), arrow))
+                s = keep
+            if breakdown:
+                w = rng.standard_normal(n)
+                continue
+        Q[s] = w / beta
+        w = H.rmatvec(H.matvec(Q[s])) - (n * (mu @ Q[s])) * mu
+        s, breakdown = s + 1, False
 
-    ritz = np.vstack((S[:, top], np.zeros((-s % PCA_BLOCK, m_prime))))
-    components = sum(b.T @ r for b, r in zip(blocks, np.split(ritz, len(blocks))))
+    components = Q.T @ S[:, top]
+    del Q
     components *= np.sign(components[np.abs(components).argmax(axis=0), np.arange(m_prime)])
-    compressed = np.column_stack([H.matvec(c) for c in components.T]) - mu @ components
+    compressed = np.empty((n, m_prime))
+    for j in range(m_prime):
+        compressed[:, j] = H.matvec(components[:, j])
+    compressed -= mu @ components
     return compressed, components, np.maximum(theta[top], 0.0)
 
 

@@ -259,6 +259,8 @@ def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptCo
         raise ConfigError(f"target needs more than k-1={cfg.k - 1} samples, got {n}")
     if n <= cfg.h:
         raise ConfigError(f"target needs more than h={cfg.h} samples, got {n}")
+    if cfg.high_order and cfg.m_prime is not None and n <= cfg.m_prime:
+        raise ConfigError(f"target needs more than m_prime={cfg.m_prime} samples, got {n}")
     if resume_from is None:
         return
     if (held := resume_from.bank.features.shape[0]) != n:

@@ -344,9 +344,11 @@ class TestAdapt:
                 "--out", tmp_path, "--quiet"]
         assert run_cli(*args) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert run_cli(*args, "--k", "700") == 2
-        assert "k-1=699" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the target has 60 rows
+        for flag, value, reason in [("--k", "700", "k-1=699"), ("--m-prime", "60", "m_prime=60")]:
+            assert run_cli(*args, flag, value) == 2
+            assert reason in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_state_resumes(self, workspace, tmp_path):

@@ -616,11 +616,40 @@ class TestPcaRows:
         order = np.argsort(w, kind="stable")[::-1]
         return w[order], v[:, order]
 
-    def assert_exact(self, H, m_prime, exact_span, seed=0):
+    @staticmethod
+    def traced_pca(monkeypatch, H, m_prime, seed=0):
+        """pca_rows(H, m_prime, seed) and the run's events in order: "step"
+        for each product with C, "check" for each eigh of T, "draw" for each
+        random vector (the start, then one per breakdown). Undoes the
+        test's monkeypatches before it returns."""
+        events = []
+
+        class Counted(RelationMatrix):
+            def rmatvec(self, y):
+                events.append("step")
+                return super().rmatvec(y)
+
+        class Drawn:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                events.append("draw")
+                return self.rng.standard_normal(size)
+
+        eigh, seeded_rng = np.linalg.eigh, hypergraph.seeded_rng
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: events.append("check") or eigh(a))
+        monkeypatch.setattr(hypergraph, "seeded_rng", lambda *key: Drawn(seeded_rng(*key)))
+        result = pca_rows(Counted(H.members, H.values), m_prime, seed)
+        monkeypatch.undo()
+        return result, events
+
+    def assert_exact(self, monkeypatch, H, m_prime, exact_span, seed=0):
         """Eigenvalues within 1e-10 relative (those below 1e-3 lambda_1, the
         zeros, within 1e-13 lambda_1), and the sine of the largest principal
-        angle to the top-`exact_span` eigenspace of dense eigh at most 1e-8."""
-        _, components, eigvals = pca_rows(H, m_prime, seed=seed)
+        angle to the top-`exact_span` eigenspace of dense eigh at most 1e-8.
+        Returns the run's events (traced_pca)."""
+        (_, components, eigvals), events = self.traced_pca(monkeypatch, H, m_prime, seed)
         w, v = self.dense_top(H)
         scale = np.maximum(w[:m_prime], 1e-3 * w[0])
         assert (np.abs(eigvals - w[:m_prime]) <= 1e-10 * scale).all()
@@ -628,29 +657,70 @@ class TestPcaRows:
         ref = v[:, :exact_span]
         got = components[:, :exact_span]
         assert np.linalg.norm(got - ref @ (ref.T @ got), 2) <= 1e-8
+        return events
 
-    def test_exact_on_random_relation_matrix(self):
-        self.assert_exact(self.sparse_relation(rng_for(415), 120, 6), 8, 8)
+    def test_exact_on_random_relation_matrix(self, monkeypatch):
+        self.assert_exact(monkeypatch, self.sparse_relation(rng_for(415), 120, 6), 8, 8)
 
-    def test_exact_on_near_degenerate_spectrum(self):
+    def test_exact_on_near_degenerate_spectrum(self, monkeypatch):
+        # n = 200 against a basis of at most 2m' + 16 = 46 vectors: the run
+        # restarts several times before the residual bound holds
         H = self.sparse_relation(rng_for(416), 200, 6)
         w, _ = self.dense_top(H)
         m_prime = next(m for m in range(10, 60) if w[m - 1] / w[m] < 1.01)
-        self.assert_exact(H, m_prime, m_prime)
+        events = self.assert_exact(monkeypatch, H, m_prime, m_prime)
+        assert events.count("check") >= 4 and events.count("draw") == 1
 
-    def test_exact_through_breakdown_restarts(self):
+    def test_exact_through_breakdown_restarts(self, monkeypatch):
         # 30 distinct columns, each three times: rank 30 at most, so the
         # Krylov space of one start vector breaks down before m' = 36 pairs
-        # converge; the last ones are zeros reached by restarts, and the
-        # first check (step 72 < n = 90) exits on the residual bound
+        # converge; the last ones are zeros reached by fresh vectors, and the
+        # first check (the full basis of 88 < n = 90 vectors) exits on the
+        # residual bound
         H = self.sparse_relation(rng_for(417), 90, 4, copies=3)
         w, _ = self.dense_top(H)
         rank = int((w > 1e-9 * w[0]).sum())
         assert rank + 1 < 36
-        self.assert_exact(H, 36, rank)
+        events = self.assert_exact(monkeypatch, H, 36, rank)
+        assert events.count("check") == 1 and events.count("draw") > 2
 
-    def test_exact_at_n_minus_1_components(self):
-        self.assert_exact(self.sparse_relation(rng_for(418), 30, 5), 29, 29)
+    def test_exact_through_a_breakdown_after_a_thick_restart(self, monkeypatch):
+        # rank 100 against a basis of 2m' + 16 = 102 vectors: the first full
+        # basis is all but invariant (beta near 1e-5 of the largest
+        # coefficient) yet not converged, so the run restarts, and the step
+        # after the restart breaks down and draws a fresh vector
+        H = self.sparse_relation(rng_for(417), 300, 3, copies=3)
+        w, _ = self.dense_top(H)
+        rank = int((w > 1e-9 * w[0]).sum())
+        assert rank == 100
+        events = self.assert_exact(monkeypatch, H, 43, 43)
+        restart = events.index("check")
+        assert "draw" in events[restart:] and events.count("draw") == 2
+
+    def assert_full_basis_exit(self, monkeypatch, n, m_prime):
+        # n <= 2m' + 16: the basis grows to all n dimensions and the run
+        # exits there, on its one check
+        events = self.assert_exact(monkeypatch, self.sparse_relation(rng_for(418), n, 5),
+                                   m_prime, m_prime)
+        assert events.count("step") == n and events.count("check") == 1
+
+    def test_exact_at_n_minus_1_components(self, monkeypatch):
+        self.assert_full_basis_exit(monkeypatch, 30, 29)
+
+    def test_exact_on_a_full_basis_of_few_components(self, monkeypatch):
+        self.assert_full_basis_exit(monkeypatch, 40, 12)
+
+    def test_memory_is_bounded_by_the_basis(self):
+        # the basis holds at most 2m' + 16 = 144 vectors of n = 2000 (2.3 MB),
+        # however many steps the run takes
+        H = self.sparse_relation(rng_for(420), 2000, 6)
+        tracemalloc.start()
+        try:
+            pca_rows(H, 64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_non_finite_relation_matrix_raises(self):
         H = self.sparse_relation(rng_for(419), 20, 4)
