@@ -4,12 +4,15 @@ Runs `bench/run.py --workload W --seed S --seconds 0 --trace 0` for each
 workload and seed (at least two repetitions each, so every run also checks
 its own rerun) and prints one `workload seed digest` line per run. With
 `--expect FILE`, a table printed by an earlier run, it exits 1 unless every
-digest matches its entry.
+digest matches its entry; lines starting with `#` are comments.
+scripts/bench_digests.txt holds the seed 0-2 table, with the numpy and
+OpenBLAS versions it was recorded with, so a byte-identity check needs no
+second checkout.
 
 For example, from the repository root:
 
     python3 scripts/bench_digests.py > digests.txt          # seeds 0-2
-    python3 scripts/bench_digests.py --expect digests.txt   # after a change
+    python3 scripts/bench_digests.py --expect scripts/bench_digests.txt
 
 The benchmark runs in the repository this script belongs to, in a
 temporary work directory.
@@ -50,7 +53,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     expected = {}
     if args.expect is not None:
-        for line in filter(str.strip, args.expect.read_text().split("\n")):
+        for line in args.expect.read_text().split("\n"):
+            if not line.strip() or line.startswith("#"):
+                continue
             fields = line.split()
             if len(fields) < 3 or not fields[1].isdigit():
                 parser.error(f"{args.expect}: not a line of digests: {line!r}")

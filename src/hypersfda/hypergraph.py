@@ -15,10 +15,13 @@ neighbors by cosine similarity of adapter features. Over n samples:
   reading of the paper: PAPER.md holds only the abstract, so the paper's
   exact self-loop formula cannot be checked here.
 
-All neighbor searches go through one kernel, _nearest. cosine_knn can
-keep a NeighborCache between calls over a slowly changing set of rows and
-then searches again only the rows a change can reach, with the full
-search's result.
+All neighbor searches go through one kernel, _nearest. Equal rows tie
+exactly, the lower index first: the padded blocks of _products round
+equal columns equally, a BLAS property TestIncrementalKnn pins, and
+TestNearest and TestCosineKnn check the rule against the twin-substituting
+oracle tests/helpers.ref_nearest. cosine_knn can keep a NeighborCache
+between calls over a slowly changing set of rows and then searches again
+only the rows a change can reach, with the full search's result.
 
 The merged affinities are the entries of the node-by-edge relation
 matrix H, held as the array pair it is (RelationMatrix): members (n, k),
@@ -56,32 +59,6 @@ NEIGHBOR_BLOCK = 64
 COLUMN_TILE = 8
 
 
-def _twins(points: np.ndarray) -> np.ndarray:
-    """Each row's lowest-index bitwise-equal row: itself when it has no twin.
-
-    Twins share their largest value, which max finds exactly, so only the
-    rows whose largest value repeats are compared (zero rows mapped to
-    ones, say); finding them takes about 0.05 ms at n = 600. Each is
-    compared as one opaque value. Adding 0.0 maps -0.0 to 0.0, so rows that
-    compare equal have equal bytes (NaN aside). np.unique over these
-    compares bytes, not rows of floats: 0.09 against 0.48 ms for axis=0 at
-    600 x 16, one thread; return_index and return_inverse keep it off its
-    numpy.ma path.
-    """
-    key = points.max(axis=1) + 0.0
-    order = np.argsort(key)
-    same = key[order[1:]] == key[order[:-1]]
-    maybe = np.zeros(points.shape[0], dtype=bool)
-    maybe[order[1:][same]] = maybe[order[:-1][same]] = True
-    maybe = np.flatnonzero(maybe)
-    rows = np.ascontiguousarray(points[maybe] + 0.0)
-    rows = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    twin = np.arange(points.shape[0])
-    twin[maybe] = maybe[first[inverse]]
-    return twin
-
-
 def _products(points: np.ndarray, rows: np.ndarray):
     """Yield (row ids, those rows of points @ points.T), NEIGHBOR_BLOCK rows at a time.
 
@@ -104,7 +81,7 @@ def _products(points: np.ndarray, rows: np.ndarray):
 
 
 def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | None = None,
-             twin: np.ndarray | None = None, reach: np.ndarray | None = None) -> np.ndarray:
+             reach: np.ndarray | None = None) -> np.ndarray:
     """Indices of each row's k nearest other rows: the one neighbor search.
 
     The distance from row i to row j is offset[j] - 2 * points[i] . points[j];
@@ -112,11 +89,12 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | 
     similarity for unit rows). The squared row norms rank by Euclidean
     distance, since each row's values differ from ||p_i - p_j||^2 by the
     constant ||p_i||^2; the rows must then be centred, or the form cancels
-    digits in rows far from the origin. Self is excluded. Equal rows of
-    points tie exactly: each duplicate column takes the distance of its
-    lowest-index twin (twin, from _twins when not given). Ties resolve to
-    the lower index. At most NEIGHBOR_BLOCK rows of distances are held at a
-    time (_products), so memory is O(NEIGHBOR_BLOCK * n).
+    digits in rows far from the origin. Self is excluded. Ties resolve to
+    the lower index, and equal rows of points tie exactly: _products rounds
+    equal columns equally (checked against tests/helpers.ref_nearest, which
+    copies each duplicate column from its lowest-index twin). At most
+    NEIGHBOR_BLOCK rows of distances are held at a time (_products), so
+    memory is O(NEIGHBOR_BLOCK * n).
 
     rows (ascending) restricts the search to those rows; each row's result
     is bitwise the one the full search gives it. reach, when given, is
@@ -138,15 +116,12 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | 
         raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
     if not (np.isfinite(points).all() and np.isfinite(offset).all()):
         raise ConfigError("neighbor search needs finite points and offsets")
-    twin = _twins(points) if twin is None else twin
-    dup = np.flatnonzero(twin != np.arange(n))
     out = np.empty((n, k), dtype=np.int64)
     for ids, d in _products(points, np.arange(n) if rows is None else rows):
         # in place and bitwise equal to offset - 2.0 * (...); scaling points
         # instead is not
         d *= -2.0
         d += offset
-        d[:, dup] = d[:, twin[dup]]
         here = np.arange(ids.size)
         d[here, ids] = np.inf
         if reach is not None:
@@ -165,14 +140,12 @@ def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | 
 class NeighborCache:
     """What cosine_knn last saw and found for one evolving set of rows.
 
-    A copy of the features, the neighbors returned and each row's twin
-    (_twins). Empty until the first call fills it; it belongs to one caller
-    and is never saved.
+    A copy of the features and the neighbors returned. Empty until the
+    first call fills it; it belongs to one caller and is never saved.
     """
 
     features: np.ndarray | None = None
     neighbors: np.ndarray | None = None
-    twin: np.ndarray | None = None
 
 
 def cosine_knn(features: np.ndarray, k_minus_1: int,
@@ -181,14 +154,14 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
 
     _nearest over the unit-norm rows with a zero offset; every row must have
     nonzero norm. With a cache, only what changed since the cache's last
-    call is searched again: the rows whose features or twin differ (C; a
-    duplicate column takes its twin's distances, so a new twin moves them),
-    and every other row whose neighbors include a row of C or that some
-    row of C now lies within its k-1-th distance of (plus a rounding
-    margin, as that distance is read from C's side). The result is the
-    full search's, bitwise. The full search runs instead when the cache is
-    empty or of another shape, when more than n/4 rows changed, or when
-    n <= NEIGHBOR_BLOCK.
+    call is searched again: the rows whose features differ (C), and every
+    other row whose neighbors include a row of C or that some row of C now
+    lies within its k-1-th distance of (plus a rounding margin, as that
+    distance is read from C's side). The result is the full search's,
+    bitwise, ties included: equal rows tie exactly, the lower index first
+    (_nearest; TestCosineKnn and TestIncrementalKnn check both). The full
+    search runs instead when the cache is empty or of another shape, when
+    more than n/4 rows changed, or when n <= NEIGHBOR_BLOCK.
     """
     features = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
@@ -197,29 +170,28 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
         raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
     unit = features / norms[:, None]
     n, offset = unit.shape[0], np.zeros(unit.shape[0])
-    twin = _twins(unit)
     if cache is None:
-        return _nearest(unit, offset, k_minus_1, twin=twin)
+        return _nearest(unit, offset, k_minus_1)
     rows = None
     if (cache.features is not None and cache.features.shape == features.shape
             and cache.neighbors.shape[1] == k_minus_1 and n > NEIGHBOR_BLOCK):
-        rows = np.flatnonzero((features != cache.features).any(axis=1) | (twin != cache.twin))
+        rows = np.flatnonzero((features != cache.features).any(axis=1))
         rows = rows if rows.size <= n // 4 else None
     if rows is None:
-        cache.neighbors = _nearest(unit, offset, k_minus_1, twin=twin)
+        cache.neighbors = _nearest(unit, offset, k_minus_1)
     elif rows.size:
         # each row's k-1-th distance, and each column's nearest row of C; both
         # may round i . j unlike row i's own search, by at most the margin
         kth = -2.0 * np.einsum("ij,ij->i", unit, unit[cache.neighbors[:, -1]])
         reach = np.full(n, np.inf)
-        cache.neighbors[rows] = _nearest(unit, offset, k_minus_1, rows, twin, reach)
+        cache.neighbors[rows] = _nearest(unit, offset, k_minus_1, rows, reach)
         margin = 8.0 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
         in_c = np.zeros(n, dtype=bool)
         in_c[rows] = True
         again = np.flatnonzero((in_c[cache.neighbors].any(axis=1) | (reach <= kth + margin))
                                & ~in_c)
-        cache.neighbors[again] = _nearest(unit, offset, k_minus_1, again, twin)
-    cache.features, cache.twin = features.copy(), twin
+        cache.neighbors[again] = _nearest(unit, offset, k_minus_1, again)
+    cache.features = features.copy()
     return cache.neighbors.copy()
 
 

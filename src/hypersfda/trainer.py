@@ -61,7 +61,7 @@ class MemoryBank:
         if self.features.shape[0] != self.predictions.shape[0]:
             raise ConfigError("bank features and predictions disagree on sample count")
         sums = self.predictions.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-9:
+        if (np.abs(sums - 1.0) > 1e-9).any():  # an empty bank passes
             raise ConfigError("bank prediction rows must sum to 1")
 
 
@@ -251,10 +251,14 @@ def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarra
 
 def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig,
                        resume_from: TrainerState | None = None) -> None:
-    """Raise ConfigError unless `adapt` can run these inputs, before any work or output."""
+    """Raise ConfigError unless `adapt` can run these inputs, before any work or output.
+
+    The model checked is the one that runs: resume_from's, when given.
+    """
     n = target.n
-    if model.dim != target.dim:
-        raise ConfigError(f"model expects dim {model.dim} but target has dim {target.dim}")
+    runs = model if resume_from is None else resume_from.model
+    if runs.dim != target.dim:
+        raise ConfigError(f"model expects dim {runs.dim} but target has dim {target.dim}")
     if n <= cfg.k - 1:
         raise ConfigError(f"target needs more than k-1={cfg.k - 1} samples, got {n}")
     if n <= cfg.h:
@@ -418,6 +422,8 @@ def load_checkpoint(path: str | Path) -> TrainerState:
         velocity = read_params(fh, d, d_z, c, GradientSet)
         q = read_array(fh, "<f8", (n, c), "EMA state")
         stamps = read_array(fh, "<i8", (n,), "EMA stamps")
+        if ((stamps < -1) | (stamps >= iteration)).any():
+            raise CheckpointError(f"EMA stamps outside [-1, {iteration})")
         bank_feats = read_array(fh, "<f8", (n, d_z), "bank features")
         bank_preds = read_array(fh, "<f8", (n, c), "bank predictions")
         clusters = read_array(fh, "<i8", (n, h), "clusters")

@@ -269,7 +269,10 @@ def ref_nearest(points: np.ndarray, offset: np.ndarray, k: int, block: int) -> n
     of blocks of `block` rows (the last one padded by repeating its rows;
     BLAS may round a whole-matrix or one-row product differently) against
     the columns padded with zero rows to a multiple of COLUMN_TILE, so any
-    difference in the result comes from the selection alone.
+    difference in the result comes from the selection alone. Each duplicate
+    column is then copied from its lowest-index equal row, so equal rows
+    tie exactly whatever the BLAS rounds: this substitution is the oracle
+    for the package's tie rule, which has no such step.
     """
     n = points.shape[0]
     _, first, inverse = np.unique(points, axis=0, return_index=True, return_inverse=True)

@@ -1,13 +1,19 @@
+import copy
 import json
 import re
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hypersfda import (
     AdaptConfig,
+    EmaState,
     EmbeddingDataset,
+    GradientSet,
+    init_model,
     load_checkpoint,
     load_dataset,
     load_model,
@@ -338,17 +344,39 @@ class TestAdapt:
         err = capsys.readouterr().err
         assert "h=3" in err and "Traceback" not in err
 
-    def test_refused_run_leaves_previous_outputs_alone(self, workspace, tmp_path, capsys):
+    def test_refused_run_leaves_previous_outputs_alone(
+            self, workspace, partial_ckpt, tmp_path, capsys):
+        out = tmp_path / "out"
         args = ["adapt", "--model", workspace / "source_model.ckpt",
                 "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0",
-                "--out", tmp_path, "--quiet"]
+                "--out", out, "--quiet"]
         assert run_cli(*args) == 0
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # checkpoints each refused only once loaded: no samples, EMA stamps
+        # at or past the checkpoint's iteration (2), and a model of input
+        # dim 7 where the target and --model have dim 8
+        state = load_checkpoint(partial_ckpt)
+        d, d_z, c = state.model.dims
+        empty = replace(state, bank=SimpleNamespace(features=np.empty((0, d_z)),
+                                                    predictions=np.empty((0, c))),
+                        ema=EmaState.initial(0, c), clusters=np.empty((0, 3), dtype=np.int64),
+                        known_mask=np.empty(0, dtype=bool))
+        late = copy.deepcopy(state)
+        late.ema.last_update_iter[:] = 5
+        narrow = init_model(d - 1, c, seed=0, d_z=d_z)
+        narrow = replace(state, model=narrow, velocity=GradientSet.zeros_like(narrow))
         # the target has 60 rows
-        for flag, value, reason in [("--k", "700", "k-1=699"), ("--m-prime", "60", "m_prime=60")]:
+        cases = [("--k", "700", "k-1=699"), ("--m-prime", "60", "m_prime=60")]
+        for broken, reason in [(empty, "holds 0 target samples"),
+                               (late, "EMA stamps outside [-1, 2)"),
+                               (narrow, f"dim {d - 1} but target has dim {d}")]:
+            save_checkpoint(broken, tmp_path / f"{len(cases)}.ckpt")
+            cases.append(("--resume", tmp_path / f"{len(cases)}.ckpt", reason))
+        for flag, value, reason in cases:
             assert run_cli(*args, flag, value) == 2
-            assert reason in capsys.readouterr().err
-            assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+            err = capsys.readouterr().err
+            assert reason in err and "Traceback" not in err, err
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_state_resumes(self, workspace, tmp_path):

@@ -84,6 +84,14 @@ class TestCosineKnn:
         feats = np.random.default_rng(0).standard_normal((100, 16))
         feats[99] = feats[0]
         assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5))
+        # zero rows mapped to ones, the usual source of equal rows, in
+        # several blocks and column tiles
+        for n, d in [(100, 16), (301, 6), (600, 16)]:
+            rng = rng_for(104, n, d)
+            feats = rng.standard_normal((n, d))
+            feats[rng.choice(n, max(4, n // 50), replace=False)] = 0.0
+            feats = knn_safe_features(feats)
+            assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5)), (n, d)
 
     def test_memory_is_blockwise(self):
         rng = rng_for(419)
@@ -120,10 +128,15 @@ class TestIncrementalKnn:
         # blocks they equal those of the contiguous 64-row blocks. At
         # n = 129 the last block is one row, which numpy would send to gemv;
         # n = 129 and 301 leave a partial column tile, which _products pads.
+        # Copies of a row give product columns bitwise equal to its own,
+        # which is what makes equal rows tie exactly in _nearest.
         rng = rng_for(421, n, d)
         points = rng.standard_normal((n, d))
         points /= np.linalg.norm(points, axis=1)[:, None]
+        copies = rng.choice(n, (2, max(3, n // 20)), replace=False)
+        points[copies[1]] = points[copies[0]]
         full = np.vstack([block for _, block in hypergraph._products(points, np.arange(n))])
+        assert full[:, copies[1]].tobytes() == full[:, copies[0]].tobytes()
         cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, d)))).T
         whole = n - n % NEIGHBOR_BLOCK
         contiguous = [(points[start:start + NEIGHBOR_BLOCK] @ cols)[:, :n]
@@ -140,9 +153,9 @@ class TestIncrementalKnn:
         subsets = []
         nearest = hypergraph._nearest
 
-        def counting(points, offset, k, rows=None, twin=None, reach=None):
+        def counting(points, offset, k, rows=None, reach=None):
             subsets.append(rows is not None)
-            return nearest(points, offset, k, rows, twin, reach)
+            return nearest(points, offset, k, rows, reach)
 
         monkeypatch.setattr(hypergraph, "_nearest", counting)
         rng = rng_for(422, case)
@@ -232,18 +245,6 @@ class TestNearest:
         with pytest.raises(ConfigError, match="finite"):
             _nearest(comp[:, :2], offset, 3)
 
-
-    @given(st.integers(0, 10_000))
-    def test_byte_view_twins_match_row_unique(self, seed):
-        rng = rng_for(105, seed)
-        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
-        points = rng.integers(-2, 3, (n, d)) * rng.choice([1.0, 0.5], (n, d))
-        points[rng.uniform(size=(n, d)) < 0.3] = -0.0  # -0.0 and 0.0 are twins
-        rows, first, inverse = np.unique(points, axis=0, return_index=True,
-                                         return_inverse=True)
-        twins = hypergraph._twins(points)
-        assert np.array_equal(first[inverse.ravel()], twins)
-        assert np.unique(twins).size == rows.shape[0]
 
 
 class TestAffinitySolver:
