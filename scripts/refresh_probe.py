@@ -61,7 +61,7 @@ def first_refresh_stages(n: int, seed: int):
     neighbors, cpu, peak = measure(lambda: hs.cosine_knn(z, cfg.k - 1))
     yield "cosine_knn", cpu, peak
     (coeffs, _), cpu, peak = measure(
-        lambda: hypergraph.solve_affinity_batch(z, z[neighbors], cfg.alpha))
+        lambda: hypergraph.solve_affinity_batch(z, neighbors, cfg.alpha))
     yield "solve_affinity_batch", cpu, peak
     affinity = hs.merge_self_loops(neighbors, np.column_stack((np.ones(n), coeffs)),
                                    hs.self_loop_affinities(neighbors, p))

@@ -20,7 +20,6 @@ from .datagen import (
     save_dataset,
 )
 from .hypergraph import (
-    HypergraphArtifacts,
     RelationMatrix,
     build_artifacts,
     build_hyperedges,
@@ -67,7 +66,6 @@ __all__ = [
     "EmaState",
     "EmbeddingDataset",
     "GradientSet",
-    "HypergraphArtifacts",
     "MemoryBank",
     "MetricsRecord",
     "RelationMatrix",

@@ -33,7 +33,8 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .model import CheckpointError, init_model, load_model, pretrain_source, save_model
+from .model import (CheckpointError, check_pretrain_inputs, init_model, load_model,
+                    pretrain_source, save_model)
 from .trainer import (
     TrainingAborted,
     adapt,
@@ -163,22 +164,23 @@ def _save_on_abort(save, path: Path):
 
 
 def cmd_gen(args) -> int:
+    # generated in memory first: refused inputs must leave --out as it was
+    shift = ShiftSpec(rotation_angle=float(np.deg2rad(args.rotate_deg)),
+                      translation=args.translate, noise_sigma=args.noise_sigma,
+                      seed=args.shift_seed)
+    if args.kind == "gaussian":
+        source, target = gen_gaussian_domains(
+            class_count=args.classes, dim=args.dim, n_source=args.n_source,
+            n_target=args.n_target, shift=shift, seed=args.seed,
+            separation=args.separation, sigma=args.sigma,
+        )
+    else:
+        source, target = gen_two_moons_domains(
+            n_source=args.n_source, n_target=args.n_target, shift=shift,
+            seed=args.seed, dim=args.dim, moon_noise=args.moon_noise,
+        )
     source_path, target_path = args.out / "source.csv", args.out / "target.csv"
     with _manifest(args, None, {"source": source_path, "target": target_path}):
-        shift = ShiftSpec(rotation_angle=float(np.deg2rad(args.rotate_deg)),
-                          translation=args.translate, noise_sigma=args.noise_sigma,
-                          seed=args.shift_seed)
-        if args.kind == "gaussian":
-            source, target = gen_gaussian_domains(
-                class_count=args.classes, dim=args.dim, n_source=args.n_source,
-                n_target=args.n_target, shift=shift, seed=args.seed,
-                separation=args.separation, sigma=args.sigma,
-            )
-        else:
-            source, target = gen_two_moons_domains(
-                n_source=args.n_source, n_target=args.n_target, shift=shift,
-                seed=args.seed, dim=args.dim, moon_noise=args.moon_noise,
-            )
         save_dataset(source, source_path)
         save_dataset(target, target_path)
     _say(args, f"wrote {source_path} and {target_path}")
@@ -189,8 +191,10 @@ def cmd_pretrain(args) -> int:
     cfg = _resolve_config(args)
     source = load_dataset(args.source)
     ckpt_path = args.out / "source_model.ckpt"
+    # refused inputs must leave the previous run in --out as it was
+    model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
+    check_pretrain_inputs(model, source, args.pretrain_epochs)
     with _manifest(args, cfg, {"checkpoint": ckpt_path}), _save_on_abort(save_model, ckpt_path):
-        model = init_model(source.dim, source.class_count, cfg.seed, d_z=cfg.d_z)
         model, acc = pretrain_source(model, source, args.pretrain_epochs, cfg)
         save_model(model, ckpt_path)
     print(json.dumps({"source_accuracy": acc}))
@@ -207,13 +211,15 @@ def cmd_adapt(args) -> int:
     resume_state = None if args.resume is None else load_checkpoint(args.resume)
     # refused inputs must leave the previous run in --out as it was
     check_adapt_inputs(model, target, cfg, resume_state)
-    # one line per iteration as it completes; a resumed run keeps the records
-    # before its checkpoint and appends the rest
+    # one line per iteration as it completes, handed to the OS as its line ends
+    # (line-buffered); a resumed run keeps the records before its checkpoint
+    # and appends the rest
     with (_manifest(args, cfg, {"checkpoint": ckpt_path, "metrics": metrics_path}),
           _save_on_abort(save_checkpoint, ckpt_path)):
         if resume_state is not None:
             _trim_stream(metrics_path, resume_state.iteration)
-        with open(metrics_path, "w" if resume_state is None else "a", encoding="utf-8") as fh:
+        with open(metrics_path, "w" if resume_state is None else "a", buffering=1,
+                  encoding="utf-8") as fh:
             model, metrics, state = adapt(
                 model, target, cfg, resume_from=resume_state,
                 iteration_callback=lambda _, record: fh.write(

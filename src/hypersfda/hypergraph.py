@@ -344,33 +344,39 @@ def _active_set(gram2: np.ndarray, c: np.ndarray,
     return a, certified
 
 
-def solve_affinity_batch(anchors: np.ndarray, neighbor_feats: np.ndarray,
+def solve_affinity_batch(features: np.ndarray, neighbors: np.ndarray,
                          alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve every anchor's constrained reconstruction problem at once.
 
     minimize ||sum_j a_j z_{i_j} - z_i||^2 + alpha*||a||_2  s.t. a >= 0
 
-    Batched active-set rounds (_active_set) solve each instance exactly on
-    a guessed support, the trust-region secular equation of More and
-    Sorensen (1983) fixing the norm term's multiplier, and certify it by
-    the KKT residual. Instances run in chunks of SOLVER_CHUNK. The few the
-    rounds leave uncertified go to the FISTA fallback (_fista). Returns
-    (coefficients (n, k-1), converged flags (n,)): a flag says the
-    instance's solution met SOLVER_KKT_TOL. Never raises on
-    non-convergence.
+    Instance i reconstructs z_i = features[i] from the rows
+    features[neighbors[i]], for each of the n = len(neighbors) rows of the
+    (n, k-1) index matrix. Batched active-set rounds (_active_set) solve
+    each instance exactly on a guessed support, the trust-region secular
+    equation of More and Sorensen (1983) fixing the norm term's multiplier,
+    and certify it by the KKT residual. Instances run in chunks of
+    SOLVER_CHUNK, each gathering only its own neighbor rows, so no
+    (n, k-1, d) copy of the features exists. The few the rounds leave
+    uncertified go to the FISTA fallback (_fista). Returns (coefficients
+    (n, k-1), converged flags (n,)): a flag says the instance's solution
+    met SOLVER_KKT_TOL. Never raises on non-convergence.
     """
-    anchors = np.asarray(anchors, dtype=np.float64)
-    neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
 
-    gram = np.einsum("nij,nkj->nik", neighbor_feats, neighbor_feats)
-    c = 2.0 * np.einsum("nij,nj->ni", neighbor_feats, anchors)
+    n, k1 = neighbors.shape
+    anchors = features[:n]
+    gram, c = np.empty((n, k1, k1)), np.empty((n, k1))
     a = np.zeros_like(c)
-    converged = np.zeros(len(c), dtype=bool)
+    converged = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(c), SOLVER_CHUNK):
+        for start in range(0, n, SOLVER_CHUNK):
             part = slice(start, start + SOLVER_CHUNK)
+            gathered = features[neighbors[part]]
+            gram[part] = np.einsum("nij,nkj->nik", gathered, gathered)
+            c[part] = 2.0 * np.einsum("nij,nj->ni", gathered, anchors[part])
             a[part], converged[part] = _active_set(2.0 * gram[part], c[part], alpha)
     rest = np.flatnonzero(~converged)
     a[rest], converged[rest] = _fista(gram[rest], c[rest], alpha)
@@ -396,7 +402,7 @@ def build_hyperedges(features: np.ndarray, k: int,
     if bad.size:
         raise ConfigError(f"feature row at index {bad[0]} is not finite or overflows")
     neighbors = cosine_knn(features, k - 1)
-    coeffs, converged = solve_affinity_batch(features, features[neighbors], alpha)
+    coeffs, converged = solve_affinity_batch(features, neighbors, alpha)
     return neighbors, np.column_stack((np.ones(n), coeffs)), converged
 
 
@@ -562,32 +568,18 @@ def cluster_high_order(compressed: np.ndarray, h: int) -> np.ndarray:
     return _nearest(c, np.einsum("ij,ij->i", c, c), h)
 
 
-@dataclass(frozen=True)
-class HypergraphArtifacts:
-    """Everything one hypergraph refresh over n nodes produces."""
-
-    neighbors: np.ndarray  # (n, k-1), from build_hyperedges
-    affinity: np.ndarray  # (n, k), the entries of H; self-loops merged in when used
-    converged: np.ndarray  # (n,) bool, per-edge affinity solve met its tolerance
-    selfloops: np.ndarray | None  # (n,) in [1, e]; None without self-loops
-    relation: RelationMatrix  # H, (n, n) with k*n entries
-    compressed: np.ndarray  # (n, m'), rows of H after PCA
-    clusters: np.ndarray  # (n, h) close-set indices
-
-
 def build_artifacts(features: np.ndarray, predictions: np.ndarray, *, k: int,
                     alpha: float, h: int, m_prime: int | None, seed: int,
-                    use_self_loops: bool = True) -> HypergraphArtifacts:
-    """Full pipeline: hyperedges, self-loops, relation matrix, PCA, clusters."""
-    n = np.asarray(features).shape[0]
-    neighbors, affinity, converged = build_hyperedges(features, k, alpha)
-    selfloops = None
+                    use_self_loops: bool = True) -> np.ndarray:
+    """Full pipeline: hyperedges, self-loops, relation matrix, PCA, clusters.
+
+    Returns the (n, h) close-set matrix of cluster_high_order. A caller
+    that needs an intermediate array calls the stages itself.
+    """
+    neighbors, affinity, _ = build_hyperedges(features, k, alpha)
     if use_self_loops:
         selfloops = self_loop_affinities(neighbors, predictions)
         affinity = merge_self_loops(neighbors, affinity, selfloops)
     relation = build_relation_matrix(neighbors, affinity)
-    m_prime = default_m_prime(n) if m_prime is None else m_prime
-    compressed = pca_rows(relation, m_prime, seed)[0]
-    clusters = cluster_high_order(compressed, h)
-    return HypergraphArtifacts(neighbors, affinity, converged, selfloops, relation,
-                               compressed, clusters)
+    m_prime = default_m_prime(len(neighbors)) if m_prime is None else m_prime
+    return cluster_high_order(pca_rows(relation, m_prime, seed)[0], h)

@@ -39,9 +39,8 @@ class TrainingAborted(RuntimeError):
     pretraining step.
     """
 
-    def __init__(self, message: str, iteration: int, last_good):
+    def __init__(self, message: str, last_good):
         super().__init__(message)
-        self.iteration = iteration
         self.last_good = last_good
 
 
@@ -226,14 +225,8 @@ def accuracy(model: AdaptModel, ds: EmbeddingDataset) -> float:
     return float(np.mean(p.argmax(axis=1) == ds.labels))
 
 
-def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
-                    cfg: AdaptConfig) -> tuple[AdaptModel, float]:
-    """Minimize smoothed cross entropy on the labeled source; returns accuracy too.
-
-    A step that leaves a non-finite gradient or weight stops the run:
-    TrainingAborted raises, naming the epoch and the step within it and
-    carrying the last finite model. No file is written.
-    """
+def check_pretrain_inputs(model: AdaptModel, source: EmbeddingDataset, epochs: int) -> None:
+    """Raise ConfigError unless `pretrain_source` can run these inputs."""
     if source.labels is None:
         raise ConfigError("pretraining requires a labeled source dataset")
     if epochs < 0:
@@ -242,6 +235,18 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
         raise ConfigError(
             f"dataset has {source.class_count} classes but model outputs {model.class_count}"
         )
+
+
+def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
+                    cfg: AdaptConfig) -> tuple[AdaptModel, float]:
+    """Minimize smoothed cross entropy on the labeled source; returns accuracy too.
+
+    A step that leaves a non-finite gradient or weight stops the run:
+    TrainingAborted raises, naming the epoch and the step within it and
+    carrying the last finite model. No file is written.
+    check_pretrain_inputs refuses inputs the run cannot use.
+    """
+    check_pretrain_inputs(model, source, epochs)
     velocity = GradientSet.zeros_like(model)
     n = source.n
     for epoch in range(epochs):
@@ -258,8 +263,7 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
                 model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum)
             except FloatingPointError as exc:
                 raise TrainingAborted(
-                    f"pretraining aborted at epoch {epoch}, step {step}: {exc}",
-                    epoch * math.ceil(n / cfg.batch_size) + step, model) from exc
+                    f"pretraining aborted at epoch {epoch}, step {step}: {exc}", model) from exc
     return model, accuracy(model, source)
 
 

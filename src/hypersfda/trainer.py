@@ -23,8 +23,7 @@ import numpy as np
 
 from .config import AdaptConfig, ConfigError, seeded_rng
 from .datagen import EmbeddingDataset
-from .hypergraph import (HypergraphArtifacts, NeighborCache, build_artifacts, cosine_knn,
-                         normalized_entropy)
+from .hypergraph import NeighborCache, build_artifacts, cosine_knn, normalized_entropy
 from .model import (
     CHECKPOINT_VERSION_TRAINER,
     AdaptModel,
@@ -131,8 +130,8 @@ def knn_safe_features(z: np.ndarray) -> np.ndarray:
 
 def refresh_hypergraph(
     model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig
-) -> tuple[HypergraphArtifacts | None, MemoryBank, np.ndarray, np.ndarray]:
-    """Full forward pass, then hypergraph artifacts, bank, close sets and known mask.
+) -> tuple[MemoryBank, np.ndarray, np.ndarray]:
+    """Full forward pass, then the bank, the (n, h) close sets and the known mask.
 
     With high_order disabled the hypergraph is skipped entirely and close
     sets fall back to plain cosine neighbors of the adapter features. The
@@ -146,18 +145,16 @@ def refresh_hypergraph(
         raise FloatingPointError("model outputs on the target overflow")
     z = knn_safe_features(z)
     if cfg.high_order:
-        artifacts = build_artifacts(
+        clusters = build_artifacts(
             z, p, k=cfg.k, alpha=cfg.alpha, h=cfg.h, m_prime=cfg.m_prime,
             seed=cfg.seed, use_self_loops=cfg.use_self_loops,
         )
-        clusters = artifacts.clusters
     else:
-        artifacts = None
         clusters = cosine_knn(z, cfg.h)
     known_mask = np.ones(target.n, dtype=bool)
     if cfg.open_set:
         known_mask[open_set_split(p)[1]] = False
-    return artifacts, MemoryBank(features=z, predictions=p), clusters, known_mask
+    return MemoryBank(features=z, predictions=p), clusters, known_mask
 
 
 def open_set_split(predictions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +202,13 @@ def evaluate(
     label other than c. Without a bank, fresh forward outputs stand in.
     A cache, passed on to the one cosine_knn call, lets a caller that
     evaluates a slowly changing bank search again only what changed; the
-    result is the same.
+    result is the same. An unlabeled dataset, or one of fewer than 2
+    samples (no sample would have a neighbor), raises ConfigError.
     """
     if dataset.labels is None:
         raise ConfigError("evaluation requires a labeled dataset")
+    if dataset.n < 2:
+        raise ConfigError(f"evaluation needs at least 2 samples, got {dataset.n}")
     z, p = forward(model, dataset.features)
     if bank is None:
         feats, preds = knn_safe_features(z), p
@@ -305,7 +305,7 @@ def adapt(
         state = copy.deepcopy(resume_from)
     else:
         try:
-            _, bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
+            bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
         except FloatingPointError as exc:  # the caller's model, not a diverged run
             raise ConfigError(str(exc)) from exc
         state = TrainerState(
@@ -330,10 +330,10 @@ def adapt(
         # refresh is due whenever t hits the interval and was not already done
         if t % cfg.t_in == 0 and t != state.refreshed_at:
             try:
-                _, state.bank, state.clusters, state.known_mask = refresh_hypergraph(
+                state.bank, state.clusters, state.known_mask = refresh_hypergraph(
                     state.model, target, cfg)
             except FloatingPointError as exc:
-                raise TrainingAborted(f"aborted at iteration {t}: {exc}", t, state) from exc
+                raise TrainingAborted(f"aborted at iteration {t}: {exc}", state) from exc
             state.refreshed_at = t
 
         epoch, pos = divmod(t, per_epoch)
@@ -375,7 +375,7 @@ def adapt(
             except FloatingPointError as exc:
                 state.ema.q[batch] = q_prev
                 state.ema.last_update_iter[batch] = stamp_prev
-                raise TrainingAborted(f"aborted at iteration {t}: {exc}", t, state) from exc
+                raise TrainingAborted(f"aborted at iteration {t}: {exc}", state) from exc
             state.model = new_model
             state.velocity = new_velocity
             state.bank.features[batch] = knn_safe_features(z_post)

@@ -6,7 +6,9 @@ checked against naive but obviously-correct counterparts. Keep this module
 free of imports from hypersfda internals beyond the public API; the
 exceptions are the bitwise solver oracle, which must share the solver's
 tolerances and residual to reproduce its flags, and the neighbor-search
-oracle, which must pad its columns as the package does. `cli_options` lists the
+oracle, which must pad its columns as the package does. `solve_instances`
+hands the affinity solver independent instances, each an anchor and its
+own neighbor rows. `cli_options` lists the
 flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
 stops an `adapt` run early, for the checkpoint and resume tests, and
 `to_dense` spells out a relation matrix. `ref_csv_text` formats a dataset
@@ -24,6 +26,7 @@ from hypersfda.hypergraph import (
     SOLVER_KKT_TOL,
     SOLVER_STEP_TOL,
     _batch_kkt_residual,
+    solve_affinity_batch,
 )
 
 
@@ -148,6 +151,21 @@ def ref_kkt_residual(a: np.ndarray, anchor: np.ndarray, neighbors: np.ndarray,
     if (a == 0).any():
         worst = max(worst, float(np.maximum(-grad[a == 0], 0.0).max()))
     return worst
+
+
+def solve_instances(anchors: np.ndarray, neighbor_feats: np.ndarray,
+                    alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """solve_affinity_batch on independent instances, each an anchor and its own rows.
+
+    anchors is (n, d) and neighbor_feats (n, k-1, d). The feature matrix
+    stacks the anchors, then every neighbor row, and instance i's index
+    row points at its own k-1 neighbor rows.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    neighbor_feats = np.asarray(neighbor_feats, dtype=np.float64)
+    n, k1, d = neighbor_feats.shape
+    features = np.concatenate((anchors, neighbor_feats.reshape(n * k1, d)))
+    return solve_affinity_batch(features, n + np.arange(n * k1).reshape(n, k1), alpha)
 
 
 def ref_solve_affinity_batch(anchors: np.ndarray, neighbor_feats: np.ndarray,

@@ -13,6 +13,7 @@ from hypersfda import (
     EmaState,
     EmbeddingDataset,
     GradientSet,
+    adapt,
     init_model,
     load_checkpoint,
     load_dataset,
@@ -20,6 +21,7 @@ from hypersfda import (
     save_checkpoint,
     save_dataset,
 )
+from hypersfda import cli
 from hypersfda.cli import _COMMAND_FIELDS, main
 
 from helpers import adapt_for, cli_options
@@ -95,11 +97,14 @@ class TestGen:
         assert manifest["config"]["kind"] == "two-moons" and manifest["inputs"] == {}
 
     def test_failure_leaves_unfinished_manifest(self, tmp_path, capsys):
-        assert run_cli("gen", "--classes", "1", "--out", tmp_path, "--quiet") == 2
-        assert "class_count" in capsys.readouterr().err
+        # a write that fails once the work has started; refused inputs never
+        # get this far (TestAdapt.test_refused_run_leaves_previous_outputs_alone)
+        (tmp_path / "source.csv").mkdir()
+        assert run_cli("gen", "--out", tmp_path, "--quiet") == 2
+        assert "source.csv" in capsys.readouterr().err
         manifest = json.loads((tmp_path / "gen_manifest.json").read_text())
-        assert manifest["finished_at"] == "" and manifest["config"]["classes"] == 1
-        assert not (tmp_path / "source.csv").exists()
+        assert manifest["finished_at"] == "" and manifest["config"]["classes"] == 4
+        assert not (tmp_path / "target.csv").exists()
 
 
 class TestPretrain:
@@ -347,11 +352,27 @@ class TestAdapt:
     def test_refused_run_leaves_previous_outputs_alone(
             self, workspace, partial_ckpt, tmp_path, capsys):
         out = tmp_path / "out"
+        gen = [*GEN_ARGS, "--seed", "0", "--out", out, "--quiet"]
+        pretrain = ["pretrain", "--source", workspace / "source.csv", "--pretrain-epochs", "30",
+                    "--lr", "0.01", "--seed", "0", "--out", out, "--quiet"]
         args = ["adapt", "--model", workspace / "source_model.ckpt",
                 "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0",
                 "--out", out, "--quiet"]
-        assert run_cli(*args) == 0
+        for command in (gen, pretrain, args):
+            assert run_cli(*command) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # gen refuses its flags, pretrain its source and epochs, before --out
+        source = load_dataset(workspace / "source.csv")
+        save_dataset(replace(source, labels=None), tmp_path / "unlabeled.csv")
+        save_dataset(replace(source, labels=np.zeros(source.n, dtype=np.int64), class_count=1),
+                     tmp_path / "one_class.csv")
+        refused = [
+            ([*gen, "--classes", "1"], "class_count must be >= 2"),
+            ([*gen, "--noise-sigma", "-1"], "noise_sigma must be >= 0"),
+            ([*pretrain, "--source", tmp_path / "unlabeled.csv"], "labeled source"),
+            ([*pretrain, "--pretrain-epochs", "-1"], "epochs must be >= 0"),
+            ([*pretrain, "--source", tmp_path / "one_class.csv"], "class_count >= 2"),
+        ]
         # checkpoints each refused only once loaded: no samples, EMA stamps
         # at or past the checkpoint's iteration (2), and a model of input
         # dim 7 where the target and --model have dim 8
@@ -372,11 +393,27 @@ class TestAdapt:
                                (narrow, f"dim {d - 1} but target has dim {d}")]:
             save_checkpoint(broken, tmp_path / f"{len(cases)}.ckpt")
             cases.append(("--resume", tmp_path / f"{len(cases)}.ckpt", reason))
-        for flag, value, reason in cases:
-            assert run_cli(*args, flag, value) == 2
+        refused += [([*args, flag, value], reason) for flag, value, reason in cases]
+        for argv, reason in refused:
+            assert run_cli(*argv) == 2
             err = capsys.readouterr().err
             assert reason in err and "Traceback" not in err, err
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_stream_holds_every_completed_iteration(self, workspace, tmp_path, monkeypatch):
+        metrics_path, lines = tmp_path / "metrics.jsonl", []
+
+        def watched(*args, iteration_callback, **kwargs):
+            def callback(state, record):
+                iteration_callback(state, record)
+                lines.append((state.iteration, metrics_path.read_bytes().count(b"\n")))
+            return adapt(*args, iteration_callback=callback, **kwargs)
+
+        monkeypatch.setattr(cli, "adapt", watched)
+        assert run_cli("adapt", "--model", workspace / "source_model.ckpt",
+                       "--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0",
+                       "--out", tmp_path, "--quiet") == 0
+        assert lines == [(t, t) for t in range(1, 5)]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_run_state_resumes(self, workspace, tmp_path):
@@ -517,6 +554,15 @@ class TestEval:
         )
         assert code == 2
         assert "labeled" in capsys.readouterr().err
+
+    def test_rejects_a_single_sample(self, workspace, tmp_path, capsys):
+        ds = load_dataset(workspace / "target.csv")
+        save_dataset(replace(ds, features=ds.features[:1], labels=ds.labels[:1]),
+                     tmp_path / "one.csv")
+        code = run_cli("eval", "--model", workspace / "source_model.ckpt",
+                       "--data", tmp_path / "one.csv", "--quiet")
+        assert code == 2
+        assert "error: evaluation needs at least 2 samples, got 1" in capsys.readouterr().err
 
 
 class TestParser:

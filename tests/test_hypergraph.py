@@ -44,6 +44,7 @@ from helpers import (
     ref_pipeline,
     ref_solve_affinity_batch,
     rng_for,
+    solve_instances,
     to_dense,
 )
 
@@ -256,7 +257,7 @@ class TestAffinitySolver:
             alpha = (0.0, 2.0, 10.0)[index % 3]
             neighbors = rng.standard_normal((k1, dz))
             anchor = rng.standard_normal(dz)
-            (a,), (converged,) = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+            (a,), (converged,) = solve_instances(anchor[None], neighbors[None], alpha)
             assert (a >= 0.0).all()
             assert converged
             assert ref_kkt_residual(a, anchor, neighbors, alpha) <= 1e-6
@@ -266,7 +267,7 @@ class TestAffinitySolver:
             rng = rng_for(301, seed)
             neighbors = rng.standard_normal((5, 8))
             anchor = rng.standard_normal(8)
-            (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], 0.0)
+            (a,), _ = solve_instances(anchor[None], neighbors[None], 0.0)
             ref, rnorm = scipy.optimize.nnls(neighbors.T, anchor)
             mine = nnls_objective(a, anchor, neighbors, 0.0)
             assert mine <= rnorm**2 + 1e-9
@@ -278,7 +279,7 @@ class TestAffinitySolver:
             neighbors = rng.standard_normal((4, 6))
             anchor = 0.7 * neighbors[0] + 0.2 * neighbors[2] + 0.05 * rng.standard_normal(6)
             for alpha in (0.0, 2.0, 10.0):
-                (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+                (a,), _ = solve_instances(anchor[None], neighbors[None], alpha)
                 _, ref_obj = ref_nnls_longrun(anchor, neighbors, alpha)
                 mine = nnls_objective(a, anchor, neighbors, alpha)
                 assert mine <= ref_obj + 1e-6
@@ -287,14 +288,14 @@ class TestAffinitySolver:
         rng = rng_for(303)
         neighbors = rng.standard_normal((4, 5))
         anchor = 0.1 * neighbors[1]
-        (a,), (converged,) = solve_affinity_batch(anchor[None], neighbors[None], 1e6)
+        (a,), (converged,) = solve_instances(anchor[None], neighbors[None], 1e6)
         assert converged and np.array_equal(a, np.zeros(4))
 
     def test_exact_reconstruction_when_anchor_in_span(self):
         rng = rng_for(304)
         neighbors = rng.standard_normal((3, 7))
         anchor = 1.5 * neighbors[0] + 0.5 * neighbors[2]
-        (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], 0.0)
+        (a,), _ = solve_instances(anchor[None], neighbors[None], 0.0)
         assert np.abs(a - [1.5, 0.0, 0.5]).max() < 1e-5
 
     @pytest.mark.parametrize("max_iter", [SOLVER_MAX_ITER, 1, 3])
@@ -316,7 +317,7 @@ class TestAffinitySolver:
             if index % 2:
                 anchors = np.einsum("nk,nkd->nd", rng.uniform(0, 1.5, (n, k1)), neighbors)
             alpha = (0.0, 2.0, 10.0)[index % 3]
-            a, converged = solve_affinity_batch(anchors, neighbors, alpha)
+            a, converged = solve_instances(anchors, neighbors, alpha)
             ref_a, ref_converged = ref_solve_affinity_batch(anchors, neighbors, alpha, max_iter)
             assert a.tobytes() == ref_a.tobytes()
             assert np.array_equal(converged, ref_converged)
@@ -327,9 +328,22 @@ class TestAffinitySolver:
         else:
             assert not flags.all()
 
+    def test_chunks_gather_the_same_rows(self, monkeypatch):
+        # each SOLVER_CHUNK of instances gathers its own neighbor rows of the
+        # shared feature matrix; the chunking must not move a bit
+        features = rng_for(310).standard_normal((50, 6))
+        neighbors = cosine_knn(features, 5)
+        whole = solve_affinity_batch(features, neighbors, 2.0)
+        monkeypatch.setattr(hypergraph, "SOLVER_CHUNK", 7)
+        chunked = solve_affinity_batch(features, neighbors, 2.0)
+        assert whole[0].tobytes() == chunked[0].tobytes()
+        assert np.array_equal(whole[1], chunked[1]) and whole[1].all()
+        own = solve_instances(features, features[neighbors], 2.0)
+        assert whole[0].tobytes() == own[0].tobytes()
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ConfigError):
-            solve_affinity_batch(np.ones((1, 3)), np.ones((1, 2, 3)), -1.0)
+            solve_instances(np.ones((1, 3)), np.ones((1, 2, 3)), -1.0)
 
 
 def active_set(anchors, neighbors, alpha):
@@ -345,7 +359,7 @@ class TestActiveSetSolver:
             anchor, neighbors, alpha = make_nnls_instance(index)
             (a,), (certified,) = active_set(anchor[None], neighbors[None], alpha)
             assert certified, index
-            (solved,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+            (solved,), _ = solve_instances(anchor[None], neighbors[None], alpha)
             assert a.tobytes() == solved.tobytes()
             assert ref_kkt_residual(a, anchor, neighbors, alpha) <= SOLVER_KKT_TOL
 
@@ -355,7 +369,7 @@ class TestActiveSetSolver:
             anchor, neighbors, alpha = make_nnls_instance(index)
             if not neighbors.shape[0] <= min(6, neighbors.shape[1]):
                 continue  # the oracle's Gram matrices must be nonsingular
-            (a,), _ = solve_affinity_batch(anchor[None], neighbors[None], alpha)
+            (a,), _ = solve_instances(anchor[None], neighbors[None], alpha)
             ref = ref_exhaustive_affinity(anchor, neighbors, alpha)
             assert np.abs(a - ref).max() <= 1e-10, index
             checked += 1
@@ -393,7 +407,7 @@ class TestActiveSetSolver:
         _, certified = active_set(anchors, neighbors, 2.0)
         left = np.flatnonzero(~certified)
         assert 0 < left.size < 40
-        a, converged = solve_affinity_batch(anchors, neighbors, 2.0)
+        a, converged = solve_instances(anchors, neighbors, 2.0)
         ref_a, ref_converged = ref_solve_affinity_batch(
             anchors[left], neighbors[left], 2.0, SOLVER_MAX_ITER)
         assert a[left].tobytes() == ref_a.tobytes()
@@ -407,7 +421,7 @@ class TestActiveSetSolver:
         anchors = np.ones((2, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             _, certified = active_set(anchors, neighbors, 2.0)
-            _, converged = solve_affinity_batch(anchors, neighbors, 2.0)
+            _, converged = solve_instances(anchors, neighbors, 2.0)
         assert certified.tolist() == [False, True]
         assert converged[1]
 
@@ -434,7 +448,7 @@ class TestActiveSetSolver:
         # at d = 4 the Gram entries overflow to inf, which eigvalsh cannot
         # take; at d = 3 they stay finite and only 2 * lambda_max overflows
         with np.errstate(all="ignore"):
-            a, converged = solve_affinity_batch(
+            a, converged = solve_instances(
                 np.ones((1, dim)), np.full((1, 3, dim), 7e153), 2.0)
         assert np.array_equal(a, np.full((1, 3), coefficient), equal_nan=True)
         assert converged.tolist() == [False]
@@ -452,7 +466,7 @@ class TestActiveSetSolver:
         a, converged = hypergraph._fista(gram, c, 0.5)
         assert converged.tolist() == [True]
         assert ref_kkt_residual(a[0], anchors[0], neighbors[0], 0.5) <= SOLVER_KKT_TOL
-        solved, flags = solve_affinity_batch(anchors, neighbors, 0.5)
+        solved, flags = solve_instances(anchors, neighbors, 0.5)
         assert solved.tobytes() == a.tobytes() and flags.all()
 
 
@@ -558,8 +572,10 @@ class TestRelationMatrix:
         feats = rng_for(406).standard_normal((9, 4))
         preds = rng_for(407).dirichlet(np.ones(3), size=9)
         ref = ref_pipeline(feats, preds, k=4, alpha=2.0, h=3, m_prime=8)
-        art = build_artifacts(feats, preds, k=4, alpha=2.0, h=3, m_prime=8, seed=0)
-        assert np.abs(to_dense(art.relation) - ref["H"]).max() < 1e-6
+        neighbors, affinity, _ = build_hyperedges(feats, k=4, alpha=2.0)
+        loops = self_loop_affinities(neighbors, preds)
+        H = build_relation_matrix(neighbors, merge_self_loops(neighbors, affinity, loops))
+        assert np.abs(to_dense(H) - ref["H"]).max() < 1e-6
 
 
 class TestPcaRows:
@@ -757,6 +773,17 @@ class TestClustering:
             cluster_high_order(np.ones((3, 2)), 3)
 
 
+def pipeline_stages(feats, preds, *, k, alpha, m_prime, seed, use_self_loops):
+    """neighbors, self-loops (None without), H and compressed rows, stage by stage."""
+    neighbors, affinity, _ = build_hyperedges(feats, k, alpha)
+    loops = None
+    if use_self_loops:
+        loops = self_loop_affinities(neighbors, preds)
+        affinity = merge_self_loops(neighbors, affinity, loops)
+    H = build_relation_matrix(neighbors, affinity)
+    return neighbors, loops, H, pca_rows(H, m_prime, seed)[0]
+
+
 class TestFullPipeline:
     @pytest.mark.parametrize("seed,n,use_loops", [(0, 8, True), (1, 10, True),
                                                   (2, 9, False), (3, 7, True)])
@@ -765,29 +792,26 @@ class TestFullPipeline:
         feats = rng.standard_normal((n, 5))
         preds = rng.dirichlet(np.ones(4), size=n)
         m_prime = n - 1
-        art = build_artifacts(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
-                              seed=seed, use_self_loops=use_loops)
+        neighbors, loops, H, compressed = pipeline_stages(
+            feats, preds, k=4, alpha=2.0, m_prime=m_prime, seed=seed, use_self_loops=use_loops)
+        clusters = build_artifacts(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
+                                   seed=seed, use_self_loops=use_loops)
         ref = ref_pipeline(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
                            use_self_loops=use_loops)
-        assert np.array_equal(art.neighbors, ref["neighbors"])
+        assert np.array_equal(neighbors, ref["neighbors"])
         if use_loops:
-            assert np.abs(art.selfloops - ref["selfloops"]).max() < 1e-6
-        else:
-            assert art.selfloops is None
-        assert np.abs(to_dense(art.relation) - ref["H"]).max() < 1e-6
-        assert np.abs(art.compressed - ref["compressed"]).max() < 1e-6
-        assert np.array_equal(art.clusters, ref["clusters"])
+            assert np.abs(loops - ref["selfloops"]).max() < 1e-6
+        assert np.abs(to_dense(H) - ref["H"]).max() < 1e-6
+        assert np.abs(compressed - ref["compressed"]).max() < 1e-6
+        assert np.array_equal(clusters, ref["clusters"])
 
-    def test_artifacts_carry_the_merged_arrays(self):
+    @pytest.mark.parametrize("use_loops", [True, False])
+    def test_equals_the_stage_composition_bitwise(self, use_loops):
         feats = rng_for(413).standard_normal((12, 3))
         preds = rng_for(414).dirichlet(np.ones(3), size=12)
-        art = build_artifacts(feats, preds, k=4, alpha=2.0, h=2, m_prime=None, seed=0)
-        neighbors, affinity, converged = build_hyperedges(feats, k=4, alpha=2.0)
-        loops = self_loop_affinities(neighbors, preds)
-        assert np.array_equal(art.neighbors, neighbors)
-        assert np.array_equal(art.converged, converged) and converged.all()
-        assert np.array_equal(art.selfloops, loops)
-        assert np.array_equal(art.affinity, merge_self_loops(neighbors, affinity, loops))
-        assert np.array_equal(to_dense(art.relation),
-                              to_dense(build_relation_matrix(neighbors, art.affinity)))
-        assert np.array_equal(art.compressed, pca_rows(art.relation, 11, seed=0)[0])
+        clusters = build_artifacts(feats, preds, k=4, alpha=2.0, h=2, m_prime=None, seed=0,
+                                   use_self_loops=use_loops)
+        *_, compressed = pipeline_stages(feats, preds, k=4, alpha=2.0, m_prime=11, seed=0,
+                                         use_self_loops=use_loops)
+        want = cluster_high_order(compressed, 2)
+        assert clusters.dtype == want.dtype and clusters.tobytes() == want.tobytes()
