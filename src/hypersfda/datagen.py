@@ -145,6 +145,19 @@ def _simplex_means(class_count: int, dim: int, separation: float,
     return base @ q.T
 
 
+def _mixture(n: int, means: np.ndarray, sig: np.ndarray, rng: np.random.Generator,
+             domain: str) -> EmbeddingDataset:
+    """n balanced samples of the mixture with these means and per-class scales.
+
+    Built in place around one n x dim array: x * s + m has the bits of m + s * x.
+    """
+    labels = _balanced_labels(n, len(means), rng)
+    feats = rng.standard_normal((n, means.shape[1]))
+    feats *= sig[labels, None]
+    feats += means[labels]
+    return EmbeddingDataset(feats, labels, domain, len(means))
+
+
 def gen_gaussian_domains(
     class_count: int,
     dim: int,
@@ -183,22 +196,12 @@ def gen_gaussian_domains(
     means = _simplex_means(
         class_count, dim, separation * float(np.mean(sig)), seeded_rng(seed, _STREAM_MEANS)
     )
-
-    rng_s = seeded_rng(seed, _STREAM_SOURCE)
-    labels_s = _balanced_labels(n_source, class_count, rng_s)
-    feats_s = means[labels_s] + sig[labels_s, None] * rng_s.standard_normal((n_source, dim))
-
-    rng_t = seeded_rng(seed, _STREAM_TARGET)
-    labels_t = _balanced_labels(n_target, class_count, rng_t)
     means_t = _rotate_first_two(means, shift.rotation_angle) + shift.translation
     if shift.noise_sigma > 0:
         rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
-        means_t = means_t + shift.noise_sigma * rng_n.standard_normal((class_count, dim))
-    feats_t = means_t[labels_t] + sig[labels_t, None] * rng_t.standard_normal((n_target, dim))
-
-    source = EmbeddingDataset(feats_s, labels_s, "source", class_count)
-    target = EmbeddingDataset(feats_t, labels_t, "target", class_count)
-    return source, target
+        means_t += shift.noise_sigma * rng_n.standard_normal((class_count, dim))
+    return (_mixture(n_source, means, sig, seeded_rng(seed, _STREAM_SOURCE), "source"),
+            _mixture(n_target, means_t, sig, seeded_rng(seed, _STREAM_TARGET), "target"))
 
 
 def gen_two_moons_domains(
@@ -251,11 +254,11 @@ def gen_two_moons_domains(
 
     feats_s = pts_s @ embed + offset
     feats_t = pts_t @ embed + offset
-    feats_t = feats_t + shift.translation
+    feats_t += shift.translation
     if shift.noise_sigma > 0:
         rng_n = seeded_rng(shift.seed, _STREAM_SHIFT)
         class_offsets = shift.noise_sigma * rng_n.standard_normal((2, dim))
-        feats_t = feats_t + class_offsets[labels_t]
+        feats_t += class_offsets[labels_t]
 
     source = EmbeddingDataset(feats_s, labels_s, "source", 2)
     target = EmbeddingDataset(feats_t, labels_t, "target", 2)
@@ -303,59 +306,80 @@ def _parse_header(line: str) -> dict:
     return out
 
 
+def _decode(raw: bytes, lineno: int) -> str:
+    """One line of a dataset file as text, without its line ending."""
+    try:
+        return raw.decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError:
+        raise DatasetFormatError("file is not UTF-8 text", line=lineno) from None
+
+
 def load_dataset(path: str | Path) -> EmbeddingDataset:
-    """Parse a dataset CSV; errors carry the 1-based offending line number."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DatasetFormatError("file is not UTF-8 text", line=line) from None
-    if not lines:
-        raise DatasetFormatError("empty file", line=1)
-    header = _parse_header(lines[0])
-    dim, classes, labeled = header["dim"], header["classes"], header["labeled"]
+    """Parse a dataset CSV; errors carry the 1-based offending line number.
 
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        cells = raw.split(",")
-        if len(cells) != dim + 1:
-            raise DatasetFormatError(
-                f"expected 1 label and {dim} values, found {len(cells)} cells", line=lineno
-            )
-        label_cell = cells[0].strip()
-        if labeled:
-            try:
-                label = int(label_cell)
-            except ValueError:
+    Reads one line at a time, twice: the first pass counts the data rows,
+    the second fills one preallocated feature array, so the file's text is
+    never held whole and the file must be seekable (not a pipe). The first
+    faulty line is the one reported; a file whose row count changes between
+    the passes is refused.
+    """
+    with open(path, "rb") as fh:
+        if not (first := fh.readline()):
+            raise DatasetFormatError("empty file", line=1)
+        header = _parse_header(_decode(first, 1))
+        dim, classes, labeled = header["dim"], header["classes"], header["labeled"]
+        n = sum(1 for raw in fh if raw.decode("utf-8", "replace").strip())
+        if not n:
+            raise DatasetFormatError("file contains no data rows", line=2)
+        # A valid row takes 2 * dim + 1 bytes or more, so a file with more rows
+        # than its size can hold has a bad row among the first `rows` + 1, and
+        # the checks below report it before the array runs out of rows.
+        rows = min(n, fh.tell() // (2 * dim + 1))
+        fh.seek(len(first))
+        i, labels = 0, []
+        for lineno, raw in enumerate(fh, start=2):
+            line = _decode(raw, lineno)
+            if not line.strip():
+                continue
+            cells = line.split(",")
+            if len(cells) != dim + 1:
                 raise DatasetFormatError(
-                    f"expected integer label, got {label_cell!r}", line=lineno
-                ) from None
-            if not 0 <= label < classes:
-                raise DatasetFormatError(
-                    f"label {label} out of range [0, {classes})", line=lineno
+                    f"expected 1 label and {dim} values, found {len(cells)} cells",
+                    line=lineno,
                 )
-            labels.append(label)
-        elif label_cell != "-":
-            raise DatasetFormatError(
-                f"unlabeled file must use '-' in the label column, got {label_cell!r}",
-                line=lineno,
-            )
-        try:  # numpy parses str cells with float()'s rules and error text
-            values = np.array(cells[1:], dtype=np.float64)
-        except ValueError as exc:
-            raise DatasetFormatError(f"bad float: {exc}", line=lineno) from None
-        if not np.isfinite(values).all():
-            raise DatasetFormatError("non-finite feature value", line=lineno)
-        rows.append(values)
-
-    if not rows:
-        raise DatasetFormatError("file contains no data rows", line=2)
-    feats = np.array(rows, dtype=np.float64)
-    label_arr = np.array(labels, dtype=np.int64) if labeled else None
+            if i == 0:  # a row has shown that dim >= 0: allocate once
+                feats = np.empty((rows, dim))
+            label_cell = cells[0].strip()
+            if labeled:
+                try:
+                    label = int(label_cell)
+                except ValueError:
+                    raise DatasetFormatError(
+                        f"expected integer label, got {label_cell!r}", line=lineno
+                    ) from None
+                if not 0 <= label < classes:
+                    raise DatasetFormatError(
+                        f"label {label} out of range [0, {classes})", line=lineno
+                    )
+                labels.append(label)
+            elif label_cell != "-":
+                raise DatasetFormatError(
+                    f"unlabeled file must use '-' in the label column, got {label_cell!r}",
+                    line=lineno,
+                )
+            try:  # numpy parses str cells with float()'s rules and error text
+                values = np.array(cells[1:], dtype=np.float64)
+            except ValueError as exc:
+                raise DatasetFormatError(f"bad float: {exc}", line=lineno) from None
+            if not np.isfinite(values).all():
+                raise DatasetFormatError("non-finite feature value", line=lineno)
+            if i == rows:  # more valid rows than were counted: the file grew
+                raise DatasetFormatError("file changed while it was read", line=lineno)
+            feats[i] = values
+            i += 1
+    if i < n:
+        raise DatasetFormatError("file changed while it was read")
     try:
-        return EmbeddingDataset(feats, label_arr, header["domain"], classes)
+        return EmbeddingDataset(feats, labels if labeled else None, header["domain"], classes)
     except ConfigError as exc:
         raise DatasetFormatError(str(exc)) from None

@@ -268,8 +268,8 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
 
 
 def write_arrays(fh, arrays, dtype: str = "<f8") -> None:
-    for a in arrays:
-        fh.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    for a in arrays:  # the array's own buffer, not a bytes copy of it
+        fh.write(np.ascontiguousarray(a, dtype=dtype))
 
 
 @contextmanager

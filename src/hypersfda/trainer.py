@@ -64,7 +64,7 @@ class MemoryBank:
             raise ConfigError("bank prediction rows must sum to 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     """One evaluation or training-iteration snapshot.
 

@@ -6,7 +6,9 @@ checked against naive but obviously-correct counterparts. Keep this module
 free of imports from hypersfda internals beyond the public API; the
 exceptions are the bitwise solver oracle, which must share the solver's
 tolerances and residual to reproduce its flags, and the neighbor-search
-oracle, which must pad its columns as the package does. `solve_instances`
+oracle, which must pad its columns as the package does, and the Gaussian
+generator's oracle, which must draw from the generator's own streams.
+`solve_instances`
 hands the affinity solver independent instances, each an anchor and its
 own neighbor rows. `cli_options` lists the
 flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
@@ -21,6 +23,16 @@ import argparse
 import numpy as np
 
 from hypersfda import ConfigError, EmaState, RelationMatrix, adapt
+from hypersfda.config import seeded_rng
+from hypersfda.datagen import (
+    _STREAM_MEANS,
+    _STREAM_SHIFT,
+    _STREAM_SOURCE,
+    _STREAM_TARGET,
+    _balanced_labels,
+    _rotate_first_two,
+    _simplex_means,
+)
 from hypersfda.hypergraph import (
     COLUMN_TILE,
     SOLVER_KKT_TOL,
@@ -48,6 +60,25 @@ def ref_csv_text(ds) -> str:
         label = str(int(ds.labels[i])) if ds.labeled else "-"
         lines.append(label + "," + ",".join(repr(float(v)) for v in ds.features[i]))
     return "\n".join(lines) + "\n"
+
+
+def ref_gaussian_features(class_count, dim, n_source, n_target, shift, seed,
+                          separation=4.0, sigma=1.0) -> list[np.ndarray]:
+    """gen_gaussian_domains' source and target features in expression form,
+    means[labels] + sig[labels] * noise, from the generator's own draws."""
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (class_count,))
+    means = _simplex_means(class_count, dim, separation * float(np.mean(sig)),
+                           seeded_rng(seed, _STREAM_MEANS))
+    means_t = _rotate_first_two(means, shift.rotation_angle) + shift.translation
+    if shift.noise_sigma > 0:
+        means_t = means_t + shift.noise_sigma * seeded_rng(
+            shift.seed, _STREAM_SHIFT).standard_normal((class_count, dim))
+    out = []
+    for n, m, stream in ((n_source, means, _STREAM_SOURCE), (n_target, means_t, _STREAM_TARGET)):
+        rng = seeded_rng(seed, stream)
+        labels = _balanced_labels(n, class_count, rng)
+        out.append(m[labels] + sig[labels, None] * rng.standard_normal((n, dim)))
+    return out
 
 
 def to_dense(H: RelationMatrix) -> np.ndarray:

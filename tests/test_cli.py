@@ -1,7 +1,10 @@
+import contextlib
 import copy
 import json
+import os
 import re
 import struct
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -563,6 +566,29 @@ class TestEval:
                        "--data", tmp_path / "one.csv", "--quiet")
         assert code == 2
         assert "error: evaluation needs at least 2 samples, got 1" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_piped_data_is_a_usage_error(self, workspace, tmp_path, capsys):
+        # the loader reads a dataset twice, so it needs a file it can rewind
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        text = (workspace / "target.csv").read_bytes()[:4000]
+
+        def feed():
+            with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+                fh.write(text)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            capsys.readouterr()
+            code = run_cli("eval", "--model", workspace / "source_model.ckpt",
+                           "--data", fifo, "--quiet")
+        finally:  # a reader that never came would leave the writer blocked in open()
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert code == 2
+        assert "seek" in capsys.readouterr().err
 
 
 class TestParser:

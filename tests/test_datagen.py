@@ -1,3 +1,4 @@
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -16,8 +17,9 @@ from hypersfda import (
     load_dataset,
     save_dataset,
 )
+from hypersfda import datagen
 
-from helpers import ref_csv_text, rng_for
+from helpers import ref_csv_text, ref_gaussian_features, rng_for
 
 
 def class_means(ds):
@@ -138,6 +140,15 @@ class TestGaussianDomains:
         assert np.array_equal(a[0].features, b[0].features)
         assert np.array_equal(a[1].features, b[1].features)
 
+    @pytest.mark.parametrize("seed, sigma", [(0, 1.0), (1, (0.5, 1.0, 2.0)), (2, 0.7)])
+    def test_features_equal_the_expression_form_bitwise(self, seed, sigma):
+        shift = ShiftSpec(rotation_angle=0.4, translation=0.3, noise_sigma=0.6, seed=seed + 5)
+        args = (3, 9, 70, 110, shift, seed, 3.5, sigma)
+        src, tgt = gen_gaussian_domains(*args)
+        ref_src, ref_tgt = ref_gaussian_features(*args)
+        assert src.features.tobytes() == ref_src.tobytes()
+        assert tgt.features.tobytes() == ref_tgt.tobytes()
+
     def test_rejects_bad_sigma(self):
         with pytest.raises(ConfigError):
             gen_gaussian_domains(3, 5, 30, 30, ShiftSpec(), seed=0, sigma=(1.0, 2.0))
@@ -210,6 +221,84 @@ class TestSaveLoadRoundTrip:
         assert peak < 1e6
         assert (tmp_path / "big.csv").read_bytes() == ref_csv_text(ds).encode("utf-8")
 
+    def test_loader_holds_about_one_feature_array(self, tmp_path):
+        # the file is about 2.4 MB of text; its feature array is 1.02 MB
+        ds = EmbeddingDataset(rng_for(17).standard_normal((1000, 128)), None, "target", 2)
+        save_dataset(ds, tmp_path / "big.csv")
+        tracemalloc.start()
+        try:
+            back = load_dataset(tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * back.features.nbytes
+        assert back.features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("labels", [np.arange(40) % 3, None])
+    def test_crlf_and_blank_lines_load_bitwise_the_same(self, tmp_path, labels):
+        ds = EmbeddingDataset(rng_for(18).standard_normal((40, 5)), labels, "source", 3)
+        lines = ref_csv_text(ds).splitlines()
+        (tmp_path / "lf.csv").write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        lines[1:1], lines[20:20] = [""], ["", "  \t"]
+        (tmp_path / "crlf.csv").write_bytes("\r\n".join(lines).encode("utf-8") + b"\r\n\r\n")
+        lf, crlf = load_dataset(tmp_path / "lf.csv"), load_dataset(tmp_path / "crlf.csv")
+        assert crlf.features.tobytes() == lf.features.tobytes() == ds.features.tobytes()
+        assert (crlf.labels is None and lf.labels is None) or (
+            crlf.labels.tobytes() == lf.labels.tobytes() == ds.labels.tobytes())
+
+    def test_non_utf8_byte_late_in_a_long_file_names_its_line(self, tmp_path):
+        ds = EmbeddingDataset(rng_for(19).standard_normal((1000, 4)), None, "target", 2)
+        lines = ref_csv_text(ds).encode("utf-8").split(b"\n")
+        lines[899] = lines[899].replace(b",", b",\xff", 1)  # line 900 of the file
+        (tmp_path / "bad.csv").write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetFormatError, match="^line 900: file is not UTF-8 text$"):
+            load_dataset(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("rows, message", [
+        (4, "^line 5: file changed while it was read$"),
+        (2, "^file changed while it was read$"),
+    ])
+    def test_rows_changed_between_the_passes_are_refused(self, monkeypatch, rows, message):
+        def csv(n):
+            return ref_csv_text(EmbeddingDataset(np.ones((n, 2)), None, "target", 2)).encode()
+
+        class Rewritten(io.BytesIO):
+            """Three rows until first rewound, then `rows` rows: a file written meanwhile."""
+
+            def seek(self, pos, whence=0):
+                if self.getvalue() == csv(3):
+                    super().seek(0)
+                    self.write(csv(rows))
+                    self.truncate()
+                return super().seek(pos, whence)
+
+        monkeypatch.setattr(datagen, "open", lambda path, mode: Rewritten(csv(3)), raising=False)
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset("ignored.csv")
+
+    def test_row_count_beyond_the_file_size_reports_the_bad_row(self, tmp_path):
+        # 100001 rows of dim 100000 would be 80 GB; a 400 KB file holds at most two
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"#hypersfda-embeddings v1 dim=100000 classes=2 labeled=0 "
+                         b"domain=target\n" + b",".join([b"-"] + [b"1"] * 100000) + b"\n"
+                         + b"x\n" * 100000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="^line 3: expected 1 label and "
+                                                         "100000 values, found 1 cells$"):
+                load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e7  # two rows are 1.6 MB
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"#hypersfda-embeddings v1 dim=2 classes=2 labeled=1 domain=source\n"
+                         b"0,1.0,2.0\n1,oops,2.0\n1,\xff,2.0\n")
+        with pytest.raises(DatasetFormatError, match="^line 3: bad float"):
+            load_dataset(path)
+
     @given(rows=st.lists(st.lists(st.floats(-1e12, 1e12, allow_nan=False,
                                             allow_infinity=False, width=64),
                                   min_size=3, max_size=3),
@@ -228,6 +317,15 @@ class TestSaveLoadRoundTrip:
         path.write_text("#hypersfda-embeddings v1 dim=2 classes=2 labeled=1 domain=source\n"
                         "0,1.0,2.0\n1,oops,2.0\n")
         with pytest.raises(DatasetFormatError, match="line 3"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_bad_last_cell_is_quoted_without_the_line_ending(self, tmp_path, end):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(end.join([b"#hypersfda-embeddings v1 dim=2 classes=2 labeled=1 "
+                                   b"domain=source", b"0,1.0,2.0", b"1,2.0,oops", b""]))
+        with pytest.raises(DatasetFormatError, match="^line 3: bad float: could not convert "
+                                                     "string to float: 'oops'$"):
             load_dataset(path)
 
     def test_non_utf8_bytes_name_their_line(self, tmp_path):
