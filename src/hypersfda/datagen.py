@@ -324,6 +324,8 @@ def load_dataset(path: str | Path) -> EmbeddingDataset:
     the passes is refused.
     """
     with open(path, "rb") as fh:
+        if not fh.seekable():
+            raise DatasetFormatError(f"{path} is not seekable: save a pipe's data to a file first")
         if not (first := fh.readline()):
             raise DatasetFormatError("empty file", line=1)
         header = _parse_header(_decode(first, 1))

@@ -149,25 +149,45 @@ def init_model(dim: int, class_count: int, seed: int, d_z: int | None = None) ->
     return AdaptModel(W_f, b_f, W_g, b_g)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-logit subtraction for stability."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+class Workspace:
+    """Buffers of one training step on batches of up to `rows` rows, allocated once per run.
+
+    forward writes z and p here, backward dz and the gradients, and sgd_step
+    the new velocity: into whichever of the two velocity vectors the
+    velocity passed in is not, so they take turns and the velocity passed
+    in survives a failed step. Each new model's parameters are a fresh
+    vector, so an AdaptModel never changes.
+    """
+
+    def __init__(self, model: AdaptModel, rows: int):
+        self.z, self.dz = np.empty((2, rows, model.d_z))
+        self.active, self.p = np.empty(self.z.shape, bool), np.empty((rows, model.class_count))
+        self.grads, *self.velocities = [GradientSet.zeros_like(model) for _ in range(3)]
 
 
-def forward(model: AdaptModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (z, p) for a batch of rows."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-logit subtraction for stability; out may be logits."""
+    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
+    return out
+
+
+def forward(model: AdaptModel, x: np.ndarray,
+            ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Return (z, p) for a batch of rows: fresh arrays, or rows of the workspace's."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1] != model.dim:
         raise ConfigError(f"input dim {x.shape[1]} does not match model dim {model.dim}")
-    z = np.maximum(0.0, x @ model.W_f + model.b_f)
-    return z, softmax(z @ model.W_g + model.b_g)
+    z, p = (None, None) if ws is None else (ws.z[:len(x)], ws.p[:len(x)])
+    z = np.maximum(0.0, np.add(np.matmul(x, model.W_f, out=z), model.b_f, out=z), out=z)
+    p = np.add(np.matmul(z, model.W_g, out=p), model.b_g, out=p)
+    return z, softmax(p, out=p)
 
 
 def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarray,
-             upstream: np.ndarray) -> GradientSet:
-    """Exact gradients of a loss given dL/dp for each batch row.
+             upstream: np.ndarray, ws: Workspace | None = None) -> GradientSet:
+    """Exact gradients of a loss given dL/dp for each batch row: fresh, or the workspace's.
 
     Softmax Jacobian applied as dlogits = p * (u - (u . p)); ReLU passes
     gradient only where z > 0 (subgradient at 0 taken as 0).
@@ -177,23 +197,29 @@ def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarra
             f"upstream shape {upstream.shape} does not align with batch of {p.shape}"
         )
     dlogits = p * (upstream - (upstream * p).sum(axis=1, keepdims=True))
-    grads = GradientSet.from_flat(np.empty(model.flat.size), *model.dims)
+    grads = GradientSet.zeros_like(model) if ws is None else ws.grads
     np.matmul(z.T, dlogits, out=grads.W_g)
     dlogits.sum(axis=0, out=grads.b_g)
-    dz = (dlogits @ model.W_g.T) * (z > 0)
+    dz = np.matmul(dlogits, model.W_g.T, out=None if ws is None else ws.dz[:len(p)])
+    dz *= np.greater(z, 0.0, out=None if ws is None else ws.active[:len(p)])
     np.matmul(batch_x.T, dz, out=grads.W_f)
     dz.sum(axis=0, out=grads.b_f)
     return grads
 
 
-def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet,
-             lr: float, momentum: float) -> tuple[AdaptModel, GradientSet]:
-    """v <- momentum*v + grad; theta <- theta - lr*v over the flat vectors, no mutation.
+def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet, lr: float,
+             momentum: float, ws: Workspace | None = None) -> tuple[AdaptModel, GradientSet]:
+    """v <- momentum*v + grad; theta <- theta - lr*v over the flat vectors.
 
-    A non-finite result names the first non-finite gradient tensor, or else
-    the first non-finite parameter tensor. AdaptConfig checks lr and momentum.
+    Neither the model nor the velocity passed in changes. The new velocity
+    is fresh, or the workspace's other velocity vector; the new model is
+    always fresh. A non-finite result names the first non-finite gradient
+    tensor, or else the first non-finite parameter tensor. AdaptConfig
+    checks lr and momentum.
     """
-    v = velocity.flat * momentum
+    new_velocity = (GradientSet.zeros_like(model) if ws is None
+                    else ws.velocities[velocity is ws.velocities[0]])
+    v = np.multiply(velocity.flat, momentum, out=new_velocity.flat)
     v += grads.flat
     theta = v * -lr  # theta - lr * v bit for bit, one temporary fewer
     theta += model.flat
@@ -202,7 +228,7 @@ def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet,
         bad = grads.non_finite()
         raise FloatingPointError(f"non-finite gradient in {bad}" if bad is not None
                                  else f"non-finite values in {new_model.non_finite()}")
-    return new_model, GradientSet.from_flat(v, *model.dims)
+    return new_model, new_velocity
 
 
 def smoothed_cross_entropy(p: np.ndarray, labels: np.ndarray, class_count: int,
@@ -247,20 +273,21 @@ def pretrain_source(model: AdaptModel, source: EmbeddingDataset, epochs: int,
     check_pretrain_inputs refuses inputs the run cannot use.
     """
     check_pretrain_inputs(model, source, epochs)
-    velocity = GradientSet.zeros_like(model)
+    ws = Workspace(model, cfg.batch_size)
+    velocity = ws.velocities[0]
     n = source.n
     for epoch in range(epochs):
         perm = seeded_rng(cfg.seed, 31, epoch).permutation(n)
         for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             x = source.features[idx]
-            z, p = forward(model, x)
+            z, p = forward(model, x, ws)
             _, upstream = smoothed_cross_entropy(
                 p, source.labels[idx], source.class_count, cfg.label_smoothing
             )
-            grads = backward(model, x, z, p, upstream)
+            grads = backward(model, x, z, p, upstream, ws)
             try:
-                model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum)
+                model, velocity = sgd_step(model, grads, velocity, cfg.lr, cfg.momentum, ws)
             except FloatingPointError as exc:
                 raise TrainingAborted(
                     f"pretraining aborted at epoch {epoch}, step {step}: {exc}", model) from exc

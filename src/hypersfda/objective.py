@@ -94,7 +94,7 @@ def ema_update_batch(state: EmaState, indices: np.ndarray, p_batch: np.ndarray,
     Each row's update stamp `iteration` must exceed its previous one;
     AdaptConfig checks delta.
     """
-    if (state.last_update_iter[indices] >= iteration).any():
+    if np.count_nonzero(state.last_update_iter[indices] >= iteration):
         raise ConfigError("EMA stamp must strictly increase for every batch sample")
     rows = delta * state.q[indices] + (1.0 - delta) * p_batch
     state.q[indices] = rows

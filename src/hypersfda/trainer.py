@@ -30,6 +30,7 @@ from .model import (
     CheckpointError,
     GradientSet,
     TrainingAborted,
+    Workspace,
     backward,
     checkpoint_writer,
     forward,
@@ -125,7 +126,7 @@ def knn_safe_features(z: np.ndarray) -> np.ndarray:
     direction; such rows (rare) are grouped on a fixed constant vector.
     """
     zero = np.einsum("ij,ij->i", z, z) == 0  # the zero test of the row norm, underflow too
-    return np.where(zero[:, None], 1.0, z) if zero.any() else z
+    return np.where(zero[:, None], 1.0, z) if np.count_nonzero(zero) else z
 
 
 def refresh_hypergraph(
@@ -235,18 +236,10 @@ def evaluate(
 
 
 def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
-    """mask[i, m] marks batch member m as background for anchor i.
-
-    batch holds distinct sample ids. A slot table maps each id to its batch
-    position, and every other id to the spare column b, which is dropped.
-    """
-    b = batch.size
-    slot = np.full(max(batch.max(), batch_clusters.max()) + 1, b)
-    slot[batch] = np.arange(b)
-    mask = np.ones((b, b + 1), dtype=bool)
-    mask[np.arange(b)[:, None], slot[batch_clusters]] = False
-    mask[np.arange(b), np.arange(b)] = False
-    return mask[:, :b]
+    """mask[i, m] marks batch member m as background for anchor i: not i, not in i's close set."""
+    mask = np.logical_and.reduce(batch_clusters[:, :, None] != batch, axis=1)
+    mask.flat[::batch.size + 1] = False
+    return mask
 
 
 def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig,
@@ -289,7 +282,9 @@ def adapt(
     `resume_from` continues a copy of a previous state under the same
     config and target, leaving the caller's state as it was.
     `iteration_callback(state, record)` runs after every iteration, with
-    the state whole at the next iteration. check_adapt_inputs refuses
+    the state whole at the next iteration. Its arrays change in place as
+    the run goes on, and its velocity is one of two vectors the steps take
+    turns writing; its model never changes. check_adapt_inputs refuses
     inputs the run cannot use. On a non-finite loss, gradient or post-step
     output, or a refresh that overflows, TrainingAborted raises carrying
     the last good state, the state before the failing iteration; this
@@ -301,6 +296,7 @@ def adapt(
     per_epoch = iterations_per_epoch(n, cfg.batch_size)
     max_iter = cfg.epochs * per_epoch
 
+    ws = Workspace(model if resume_from is None else resume_from.model, cfg.batch_size)
     if resume_from is not None:
         state = copy.deepcopy(resume_from)
     else:
@@ -308,16 +304,8 @@ def adapt(
             bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
         except FloatingPointError as exc:  # the caller's model, not a diverged run
             raise ConfigError(str(exc)) from exc
-        state = TrainerState(
-            model=model,
-            velocity=GradientSet.zeros_like(model),
-            ema=EmaState.initial(n, model.class_count),
-            bank=bank,
-            clusters=clusters,
-            known_mask=known_mask,
-            iteration=0,
-            refreshed_at=0,
-        )
+        state = TrainerState(model, ws.velocities[0], EmaState.initial(n, model.class_count),
+                             bank, clusters, known_mask, iteration=0, refreshed_at=0)
 
     metrics: list[MetricsRecord] = []
     labeled = target.labels is not None
@@ -348,38 +336,34 @@ def adapt(
             x = target.features[batch]
             # copies (fancy indexing), so an abort can rewind the in-place
             # EMA update and hand over the exact pre-iteration state
-            q_prev = state.ema.q[batch]
-            stamp_prev = state.ema.last_update_iter[batch]
+            q_prev, stamp_prev = state.ema.q[batch], state.ema.last_update_iter[batch]
             try:
-                z, p = forward(state.model, x)
+                z, p = forward(state.model, x, ws)
                 batch_clusters = state.clusters[batch]
-                pull_terms, push_terms, grad_ada = adaptive_loss_batch(
-                    p, state.bank.predictions[batch_clusters],
-                    _background_mask(batch, batch_clusters), cfg.gamma, lam
-                )
+                pull_terms, push_terms, upstream = adaptive_loss_batch(
+                    p, state.bank.predictions.take(batch_clusters, 0),
+                    _background_mask(batch, batch_clusters), cfg.gamma, lam)
                 q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
                 reg_terms, grad_reg = kl_regularizer_batch(q_rows, p)
-                pull, push = float(pull_terms.sum()), float(push_terms.sum())
-                reg = float(reg_terms.sum())
+                pull, push = float(np.add.reduce(pull_terms)), float(np.add.reduce(push_terms))
+                reg = float(np.add.reduce(reg_terms))
                 total = pull + push + cfg.eta * reg
                 if not math.isfinite(total):
                     raise FloatingPointError("non-finite loss total")
-                upstream = grad_ada + cfg.eta * grad_reg
-                grads = backward(state.model, x, z, p, upstream)
+                upstream += cfg.eta * grad_reg
+                grads = backward(state.model, x, z, p, upstream, ws)
                 new_model, new_velocity = sgd_step(
-                    state.model, grads, state.velocity, cfg.lr, cfg.momentum
-                )
-                z_post, p_post = forward(new_model, x)
-                if not (np.isfinite(z_post).all() and np.isfinite(p_post).all()):
+                    state.model, grads, state.velocity, cfg.lr, cfg.momentum, ws)
+                z, p = forward(new_model, x, ws)
+                # the model is finite, so a non-finite z makes its row of p non-finite
+                if np.count_nonzero(np.isfinite(p)) < p.size:
                     raise FloatingPointError("non-finite outputs after the step")
             except FloatingPointError as exc:
-                state.ema.q[batch] = q_prev
-                state.ema.last_update_iter[batch] = stamp_prev
+                state.ema.q[batch], state.ema.last_update_iter[batch] = q_prev, stamp_prev
                 raise TrainingAborted(f"aborted at iteration {t}: {exc}", state) from exc
-            state.model = new_model
-            state.velocity = new_velocity
-            state.bank.features[batch] = knn_safe_features(z_post)
-            state.bank.predictions[batch] = p_post
+            state.model, state.velocity = new_model, new_velocity
+            state.bank.features[batch] = knn_safe_features(z)
+            state.bank.predictions[batch] = p
 
         losses = dict(total=total, l_ada_pull=pull, l_ada_push=push, l_reg=reg, lambda_used=lam)
         record = (replace(evaluate(state.model, target, state.bank, cfg.h, neighbor_cache),

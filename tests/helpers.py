@@ -14,15 +14,31 @@ own neighbor rows. `cli_options` lists the
 flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
 stops an `adapt` run early, for the checkpoint and resume tests, and
 `to_dense` spells out a relation matrix. `ref_csv_text` formats a dataset
-CSV value by value, as one string.
+CSV value by value, as one string. `ref_adapt_iteration` replays one
+iteration of `adapt` with the allocating step functions; it imports the
+objective's batch functions, and the trainer's batch and bank helpers, so
+that only the step is compared.
 """
 from __future__ import annotations
 
 import argparse
+import copy
 
 import numpy as np
 
-from hypersfda import ConfigError, EmaState, RelationMatrix, adapt
+from hypersfda import (
+    ConfigError,
+    EmaState,
+    GradientSet,
+    RelationMatrix,
+    TrainerState,
+    adapt,
+    backward,
+    forward,
+    lambda_schedule,
+    refresh_hypergraph,
+    sgd_step,
+)
 from hypersfda.config import seeded_rng
 from hypersfda.datagen import (
     _STREAM_MEANS,
@@ -40,6 +56,8 @@ from hypersfda.hypergraph import (
     _batch_kkt_residual,
     solve_affinity_batch,
 )
+from hypersfda.objective import adaptive_loss_batch, ema_update_batch, kl_regularizer_batch
+from hypersfda.trainer import epoch_permutation, iterations_per_epoch, knn_safe_features
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -112,6 +130,53 @@ def adapt_for(model, target, cfg, iterations: int, resume_from=None):
     except _Stop as stop:
         state = stop.args[0]
         return state.model, records, state
+
+
+def initial_state(model, target, cfg) -> TrainerState:
+    """The state adapt builds before its iteration 0."""
+    bank, clusters, known_mask = refresh_hypergraph(model, target, cfg)
+    return TrainerState(model, GradientSet.zeros_like(model),
+                        EmaState.initial(target.n, model.class_count), bank, clusters,
+                        known_mask, iteration=0, refreshed_at=0)
+
+
+def ref_adapt_iteration(state, target, cfg):
+    """Iteration state.iteration of adapt on a copy of `state`: (new state, loss sums).
+
+    Straight-line and allocating: forward, adaptive_loss_batch,
+    ema_update_batch, kl_regularizer_batch, backward, sgd_step and forward
+    again, each without a workspace, after the refresh that falls due. The
+    sums are the batch's (pull, push, reg), zeros for an empty batch.
+    """
+    state = copy.deepcopy(state)
+    t, n, size = state.iteration, target.n, cfg.batch_size
+    per_epoch = iterations_per_epoch(n, size)
+    if t % cfg.t_in == 0 and t != state.refreshed_at:
+        state.bank, state.clusters, state.known_mask = refresh_hypergraph(
+            state.model, target, cfg)
+        state.refreshed_at = t
+    epoch, pos = divmod(t, per_epoch)
+    batch = epoch_permutation(cfg.seed, epoch, n)[pos * size:(pos + 1) * size]
+    batch = batch[state.known_mask[batch]]
+    sums = (0.0, 0.0, 0.0)
+    if batch.size > 0:
+        x = target.features[batch]
+        z, p = forward(state.model, x)
+        close = state.clusters[batch]
+        pull, push, grad_ada = adaptive_loss_batch(
+            p, state.bank.predictions[close], ref_background_mask(batch, close), cfg.gamma,
+            lambda_schedule(t, cfg.epochs * per_epoch, cfg.beta))
+        q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
+        reg, grad_reg = kl_regularizer_batch(q_rows, p)
+        grads = backward(state.model, x, z, p, grad_ada + cfg.eta * grad_reg)
+        state.model, state.velocity = sgd_step(state.model, grads, state.velocity, cfg.lr,
+                                               cfg.momentum)
+        z, p = forward(state.model, x)
+        state.bank.features[batch] = knn_safe_features(z)
+        state.bank.predictions[batch] = p
+        sums = (float(pull.sum()), float(push.sum()), float(reg.sum()))
+    state.iteration = t + 1
+    return state, sums
 
 
 # ---------------------------------------------------------------------------

@@ -588,7 +588,9 @@ class TestEval:
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
             writer.join(timeout=10)
         assert code == 2
-        assert "seek" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Illegal seek" not in err and "Errno" not in err
+        assert f"error: {fifo} is not seekable: save a pipe's data to a file first" in err
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -43,7 +44,9 @@ from hypersfda.trainer import (
 from helpers import (
     adapt_for,
     exhaustive_threshold_split,
+    initial_state,
     make_bimodal_predictions,
+    ref_adapt_iteration,
     ref_background_mask,
     rng_for,
 )
@@ -535,6 +538,120 @@ class TestLossRecord:
         assert last.ema.last_update_iter.tobytes() == after_1.ema.last_update_iter.tobytes()
         assert_models_equal(last.model, after_1.model)
         assert [rec.iteration for rec in seen] == [0, 1]
+
+
+def state_bytes(state: TrainerState) -> list:
+    arrays = (state.model.flat, state.velocity.flat, state.ema.q, state.ema.last_update_iter,
+              state.bank.features, state.bank.predictions, state.clusters, state.known_mask)
+    return [a.tobytes() for a in arrays] + [state.iteration, state.refreshed_at]
+
+
+class TestStepMatchesStraightLineOracle:
+    """adapt's buffered step against the allocating one, iteration by iteration."""
+
+    @pytest.mark.parametrize("case", ["short_last_batch", "open_set", "labeled"])
+    def test_every_iteration_bitwise(self, case):
+        model, tgt = small_problem(n=70, labeled=case == "labeled")
+        cfg = AdaptConfig(seed=0, open_set=case == "open_set", **{**QUICK, "epochs": 3})
+        assert tgt.n % cfg.batch_size != 0
+        after, records = [], []
+
+        def keep(state, record):
+            after.append(copy.deepcopy(state))
+            records.append(record)
+
+        adapt(model, tgt, cfg, iteration_callback=keep)
+        assert len(after) == 9
+        if case == "open_set":  # some batch lost members to the unknown set
+            assert any(not s.known_mask.all() for s in after)
+        before = initial_state(model, tgt, cfg)
+        for state, record in zip(after, records):
+            want, sums = ref_adapt_iteration(before, tgt, cfg)
+            assert state_bytes(state) == state_bytes(want)
+            assert [bits(v) for v in (record.l_ada_pull, record.l_ada_push, record.l_reg)] \
+                == [bits(v) for v in sums]
+            before = state
+
+
+class TestReusedBuffers:
+    """adapt writes each step into buffers it allocates once; nothing it hands out moves."""
+
+    def assert_state_before(self, exc, model, tgt, cfg, failed):
+        assert re.match(rf"aborted at iteration {failed}: ", str(exc))
+        want = initial_state(model, tgt, cfg) if failed == 0 else adapt_for(
+            model, tgt, cfg, failed)[2]
+        got = exc.last_good
+        assert got.iteration == failed
+        for a, b in ((got.model.flat, want.model.flat), (got.velocity.flat, want.velocity.flat),
+                     (got.ema.q, want.ema.q),
+                     (got.ema.last_update_iter, want.ema.last_update_iter)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_lr_hands_over_the_state_before(self):
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, lr=1e300, **QUICK)
+        with pytest.raises(TrainingAborted) as exc_info:
+            adapt(model, tgt, cfg)
+        self.assert_state_before(exc_info.value, model, tgt, cfg, 0)
+
+    def test_non_finite_gradient_hands_over_the_state_before(self, monkeypatch):
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, **QUICK)
+        back, calls = trainer.backward, []
+
+        def inf_at_iteration_2(*args, **kwargs):
+            grads = back(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads.W_f[0, 0] = np.inf
+            return grads
+
+        monkeypatch.setattr(trainer, "backward", inf_at_iteration_2)
+        with pytest.raises(TrainingAborted, match="non-finite gradient in W_f$") as exc_info:
+            adapt(model, tgt, cfg)
+        monkeypatch.undo()
+        self.assert_state_before(exc_info.value, model, tgt, cfg, 2)
+
+    def test_non_finite_output_after_the_step_hands_over_the_state_before(self, monkeypatch):
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, **QUICK)
+        fwd, step_calls = trainer.forward, []
+
+        def nan_after_step_2(model, x, ws=None):
+            z, p = fwd(model, x, ws)
+            if ws is not None:  # the two forwards of each step
+                step_calls.append(1)
+                if len(step_calls) == 6:
+                    p[0, 0] = np.nan
+            return z, p
+
+        monkeypatch.setattr(trainer, "forward", nan_after_step_2)
+        with pytest.raises(TrainingAborted, match="outputs after the step$") as exc_info:
+            adapt(model, tgt, cfg)
+        monkeypatch.undo()
+        self.assert_state_before(exc_info.value, model, tgt, cfg, 2)
+
+    def test_models_handed_out_never_change(self):
+        model, tgt = small_problem(labeled=False)
+        kept = []
+
+        def keep(state, record):
+            if record.iteration == 1:
+                kept.extend((state.model, state.model.flat.tobytes()))
+
+        adapt(model, tgt, AdaptConfig(seed=0, **QUICK), iteration_callback=keep)
+        held, then = kept
+        assert held.flat.tobytes() == then and not held.flat.flags.writeable
+
+    def test_caller_model_and_resumed_state_unchanged(self):
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, **QUICK)
+        _, _, part = adapt_for(model, tgt, cfg, 2)
+        model_then, part_then = model.flat.tobytes(), state_bytes(part)
+        adapt(model, tgt, cfg)
+        adapt(part.model, tgt, cfg, resume_from=part)
+        assert model.flat.tobytes() == model_then and state_bytes(part) == part_then
 
 
 class TestCheckpointFormat:
