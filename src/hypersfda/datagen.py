@@ -317,28 +317,16 @@ def _decode(raw: bytes, lineno: int) -> str:
 def load_dataset(path: str | Path) -> EmbeddingDataset:
     """Parse a dataset CSV; errors carry the 1-based offending line number.
 
-    Reads one line at a time, twice: the first pass counts the data rows,
-    the second fills one preallocated feature array, so the file's text is
-    never held whole and the file must be seekable (not a pipe). The first
-    faulty line is the one reported; a file whose row count changes between
-    the passes is refused.
+    Reads the file once, one line at a time, and appends each checked row's
+    values to one growing buffer, so the file's text is never held whole and
+    pipes load like files. The first faulty line is the one reported.
     """
     with open(path, "rb") as fh:
-        if not fh.seekable():
-            raise DatasetFormatError(f"{path} is not seekable: save a pipe's data to a file first")
         if not (first := fh.readline()):
             raise DatasetFormatError("empty file", line=1)
         header = _parse_header(_decode(first, 1))
         dim, classes, labeled = header["dim"], header["classes"], header["labeled"]
-        n = sum(1 for raw in fh if raw.decode("utf-8", "replace").strip())
-        if not n:
-            raise DatasetFormatError("file contains no data rows", line=2)
-        # A valid row takes 2 * dim + 1 bytes or more, so a file with more rows
-        # than its size can hold has a bad row among the first `rows` + 1, and
-        # the checks below report it before the array runs out of rows.
-        rows = min(n, fh.tell() // (2 * dim + 1))
-        fh.seek(len(first))
-        i, labels = 0, []
+        i, labels, buf = 0, [], bytearray()
         for lineno, raw in enumerate(fh, start=2):
             line = _decode(raw, lineno)
             if not line.strip():
@@ -349,8 +337,6 @@ def load_dataset(path: str | Path) -> EmbeddingDataset:
                     f"expected 1 label and {dim} values, found {len(cells)} cells",
                     line=lineno,
                 )
-            if i == 0:  # a row has shown that dim >= 0: allocate once
-                feats = np.empty((rows, dim))
             label_cell = cells[0].strip()
             if labeled:
                 try:
@@ -375,12 +361,11 @@ def load_dataset(path: str | Path) -> EmbeddingDataset:
                 raise DatasetFormatError(f"bad float: {exc}", line=lineno) from None
             if not np.isfinite(values).all():
                 raise DatasetFormatError("non-finite feature value", line=lineno)
-            if i == rows:  # more valid rows than were counted: the file grew
-                raise DatasetFormatError("file changed while it was read", line=lineno)
-            feats[i] = values
+            buf += memoryview(values).cast("B")
             i += 1
-    if i < n:
-        raise DatasetFormatError("file changed while it was read")
+    if not i:
+        raise DatasetFormatError("file contains no data rows", line=2)
+    feats = np.frombuffer(buf).reshape(i, dim)
     try:
         return EmbeddingDataset(feats, labels if labeled else None, header["domain"], classes)
     except ConfigError as exc:
