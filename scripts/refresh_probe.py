@@ -8,8 +8,9 @@ model's first refresh runs stage by stage, through the engine's own
 functions: cosine_knn, solve_affinity_batch, pca_rows and
 cluster_high_order. The self-loop merge and the building of H, between
 the solve and the PCA, are not timed. Each stage runs REPEAT times
-untraced, and the least CPU time is printed, then once more under
-tracemalloc for its peak above what was allocated before it.
+untraced, and the least CPU time is printed with the minor page faults
+(getrusage) of the first of those runs, then once more under tracemalloc
+for its peak above what was allocated before it.
 
 Run from the repository root, with one BLAS thread for steady times:
 
@@ -18,6 +19,7 @@ Run from the repository root, with one BLAS thread for steady times:
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 import tracemalloc
@@ -35,21 +37,24 @@ REPEAT = 3
 
 
 def measure(stage):
-    """(result, least CPU seconds over REPEAT runs, traced peak in MB)."""
+    """(result, least CPU seconds over REPEAT runs, traced peak in MB, first run's minor faults)."""
     cpu = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(REPEAT):
         start = time.process_time()
         result = stage()
         cpu.append(time.process_time() - start)
+        if len(cpu) == 1:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     tracemalloc.start()
     stage()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return result, min(cpu), peak / 2**20
+    return result, min(cpu), peak / 2**20, faults
 
 
 def first_refresh_stages(n: int, seed: int):
-    """Yield (stage name, CPU seconds, traced peak MB) for one target size."""
+    """Yield (stage name, CPU seconds, traced peak MB, minor faults) for one target size."""
     shift = hs.ShiftSpec(rotation_angle=np.deg2rad(30.0), noise_sigma=0.7, seed=seed)
     source, target = hs.gen_gaussian_domains(4, 16, 600, n, shift, seed=seed, separation=3.3)
     cfg = hs.AdaptConfig(seed=seed)
@@ -58,20 +63,20 @@ def first_refresh_stages(n: int, seed: int):
     z, p = hs.forward(model, target.features)
     z = knn_safe_features(z)
 
-    neighbors, cpu, peak = measure(lambda: hs.cosine_knn(z, cfg.k - 1))
-    yield "cosine_knn", cpu, peak
-    (coeffs, _), cpu, peak = measure(
+    neighbors, *row = measure(lambda: hs.cosine_knn(z, cfg.k - 1))
+    yield "cosine_knn", *row
+    (coeffs, _), *row = measure(
         lambda: hypergraph.solve_affinity_batch(z, neighbors, cfg.alpha))
-    yield "solve_affinity_batch", cpu, peak
+    yield "solve_affinity_batch", *row
     affinity = hs.merge_self_loops(neighbors, np.column_stack((np.ones(n), coeffs)),
                                    hs.self_loop_affinities(neighbors, p))
     H = hs.build_relation_matrix(neighbors, affinity)
     m_prime = hypergraph.default_m_prime(n) if cfg.m_prime is None else cfg.m_prime
-    (compressed, _, _), cpu, peak = measure(
+    (compressed, _, _), *row = measure(
         lambda: hypergraph.pca_rows(H, m_prime, cfg.seed))
-    yield "pca_rows", cpu, peak
-    _, cpu, peak = measure(lambda: hs.cluster_high_order(compressed, cfg.h))
-    yield "cluster_high_order", cpu, peak
+    yield "pca_rows", *row
+    _, *row = measure(lambda: hs.cluster_high_order(compressed, cfg.h))
+    yield "cluster_high_order", *row
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,10 +84,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[600, 2000, 5000])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    print(f"{'n':>6}  {'stage':<22}{'cpu_s':>8}  {'peak_mb':>8}")
+    print(f"{'n':>6}  {'stage':<22}{'cpu_s':>8}  {'peak_mb':>8}  {'minflt':>8}")
     for n in args.sizes:
-        for name, cpu, peak in first_refresh_stages(n, args.seed):
-            print(f"{n:>6}  {name:<22}{cpu:>8.3f}  {peak:>8.2f}", flush=True)
+        for name, cpu, peak, faults in first_refresh_stages(n, args.seed):
+            print(f"{n:>6}  {name:<22}{cpu:>8.3f}  {peak:>8.2f}  {faults:>8}", flush=True)
     return 0
 
 

@@ -15,11 +15,14 @@ neighbors by cosine similarity of adapter features. Over n samples:
   reading of the paper: PAPER.md holds only the abstract, so the paper's
   exact self-loop formula cannot be checked here.
 
-All neighbor searches go through one kernel, _nearest. Equal rows tie
-exactly, the lower index first: the padded blocks of _products round
-equal columns equally, a BLAS property TestIncrementalKnn pins, and
-TestNearest and TestCosineKnn check the rule against the twin-substituting
-oracle tests/helpers.ref_nearest. cosine_knn can keep a NeighborCache
+All neighbor searches go through one kernel, _nearest. It writes each
+block of NEIGHBOR_BLOCK rows of products into one reused buffer
+(_products) and ranks by a score, largest first, that is bitwise the
+negated distance. Equal rows tie exactly, the lower index first: the
+padded blocks of _products round equal columns equally, a BLAS property
+TestIncrementalKnn pins, and TestNearest and TestCosineKnn check the rule
+against the twin-substituting oracle tests/helpers.ref_nearest. cosine_knn
+can keep a NeighborCache
 between calls over a slowly changing set of rows and then searches again
 only the rows a change can reach, with the full search's result.
 
@@ -69,70 +72,84 @@ def _products(points: np.ndarray, rows: np.ndarray):
     whole matrix, which numpy would send to syrk, nor a single row (gemv).
     The columns are padded with zero rows to a multiple of COLUMN_TILE, and
     cut back: in a partial column tile, BLAS rounds a row differently with
-    its place in the block.
+    its place in the block. Every block is a view of one buffer, written
+    in place by the next: a yielded block is valid until the next one, and
+    a caller that keeps it must copy it.
     """
     n = points.shape[0]
     cols = points.T
     if n % COLUMN_TILE:
         cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, points.shape[1])))).T
+    block = np.empty((NEIGHBOR_BLOCK, cols.shape[1]))
     for start in range(0, rows.size, NEIGHBOR_BLOCK):
         ids = rows[start:start + NEIGHBOR_BLOCK]
-        yield ids, (points[np.resize(ids, NEIGHBOR_BLOCK)] @ cols)[:ids.size, :n]
+        yield ids, np.matmul(points[np.resize(ids, NEIGHBOR_BLOCK)], cols, out=block)[:ids.size, :n]
 
 
-def _nearest(points: np.ndarray, offset: np.ndarray, k: int, rows: np.ndarray | None = None,
-             reach: np.ndarray | None = None) -> np.ndarray:
+def _nearest(points: np.ndarray, offset: np.ndarray | None, k: int,
+             rows: np.ndarray | None = None, reach: np.ndarray | None = None) -> np.ndarray:
     """Indices of each row's k nearest other rows: the one neighbor search.
 
     The distance from row i to row j is offset[j] - 2 * points[i] . points[j];
-    smaller is nearer. A zero offset ranks by inner product (cosine
-    similarity for unit rows). The squared row norms rank by Euclidean
-    distance, since each row's values differ from ||p_i - p_j||^2 by the
-    constant ||p_i||^2; the rows must then be centred, or the form cancels
-    digits in rows far from the origin. Self is excluded. Ties resolve to
-    the lower index, and equal rows of points tie exactly: _products rounds
-    equal columns equally (checked against tests/helpers.ref_nearest, which
-    copies each duplicate column from its lowest-index twin). At most
-    NEIGHBOR_BLOCK rows of distances are held at a time (_products), so
-    memory is O(NEIGHBOR_BLOCK * n).
+    smaller is nearer. The squared row norms rank by Euclidean distance,
+    since each row's values differ from ||p_i - p_j||^2 by the constant
+    ||p_i||^2; the rows must then be centred, or the form cancels digits in
+    rows far from the origin. offset None ranks by the inner product alone
+    (cosine similarity for unit rows), as a zero offset does. Self is
+    excluded. Ties resolve to the lower index, and equal rows of points tie
+    exactly: _products rounds equal columns equally (checked against
+    tests/helpers.ref_nearest, which copies each duplicate column from its
+    lowest-index twin). At most NEIGHBOR_BLOCK rows of distances are held
+    at a time, in one buffer (_products), so memory is O(NEIGHBOR_BLOCK * n).
+
+    The search ranks by the score 2 * p_i . p_j - offset[j], largest first,
+    formed in place as fl(fl(2x) - o). Doubling is exact and rounding to
+    nearest is symmetric in sign, so each score is bitwise the negated
+    distance fl(o - 2x), and the order and ties are the distances'. With
+    offset None the score is p_i . p_j itself, which -2x orders exactly
+    the same way, and no elementwise pass runs.
 
     rows (ascending) restricts the search to those rows; each row's result
     is bitwise the one the full search gives it. reach, when given, is
-    lowered to each column's smallest distance from any of the rows.
-    Returns an (n, k), or (len(rows), k), integer matrix ordered by
-    increasing distance.
+    raised to each column's largest score from any of the rows, self
+    excluded. Returns an (n, k), or (len(rows), k), integer matrix ordered
+    by increasing distance.
 
-    Cost per row: O(n * d) for its distances and O(k * n) for k argmin
-    passes, no sort. argmin returns the first minimum, so each pass takes
-    the nearest remaining column, the lower index first on a tie. The
-    passes beat an argpartition up to k of about 30 (64 x 3000 block, one
-    thread, 2-vCPU Xeon: 0.3 against 2.0 ms at k = 9, 2.3 against 1.0-2.4
-    ms at k = 64); the default and benchmark configurations use k - 1 <= 9
-    and h = 3. points and offset must be finite; an overflowed picked
-    distance raises.
+    Cost per row: O(n * d) for its scores and O(k * n) for k argmax passes,
+    no sort. argmax returns the first maximum, so each pass takes the
+    nearest remaining column, the lower index first on a tie. The passes
+    beat an argpartition up to k of about 30 (64 x 3000 block, one thread,
+    2-vCPU Xeon: 0.3 against 2.0 ms at k = 9, 2.3 against 1.0-2.4 ms at
+    k = 64); the default and benchmark configurations use k - 1 <= 9 and
+    h = 3. points and offset must be finite; an overflowed picked score
+    raises.
     """
     n = points.shape[0]
     if not 1 <= k < n:
         raise ConfigError(f"need 1 <= k < n, got k={k}, n={n}")
-    if not (np.isfinite(points).all() and np.isfinite(offset).all()):
+    if not (np.isfinite(points).all() and (offset is None or np.isfinite(offset).all())):
         raise ConfigError("neighbor search needs finite points and offsets")
     out = np.empty((n, k), dtype=np.int64)
-    for ids, d in _products(points, np.arange(n) if rows is None else rows):
-        # in place and bitwise equal to offset - 2.0 * (...); scaling points
-        # instead is not
-        d *= -2.0
-        d += offset
+    picked = np.empty((NEIGHBOR_BLOCK, k))
+    for ids, s in _products(points, np.arange(n) if rows is None else rows):
+        if offset is not None:
+            # in place and bitwise -(offset - 2.0 * (...)); scaling points
+            # instead is not
+            s *= 2.0
+            s -= offset
         here = np.arange(ids.size)
-        d[here, ids] = np.inf
+        s[here, ids] = -np.inf
         if reach is not None:
-            np.minimum(reach, d.min(axis=0), out=reach)
+            np.maximum(reach, s.max(axis=0), out=reach)
         for j in range(k):
-            col = d.argmin(axis=1)
-            # an overflowed distance could pick self or a column already taken
-            if not np.isfinite(d[here, col]).all():
-                raise ConfigError("neighbor distances overflow")
+            col = s.argmax(axis=1)
             out[ids, j] = col
-            d[here, col] = np.inf
+            picked[:ids.size, j] = s[here, col]
+            if j < k - 1:
+                s[here, col] = -np.inf
+        # an overflowed score could pick self or a column already taken
+        if not np.isfinite(picked[:ids.size]).all():
+            raise ConfigError("neighbor distances overflow")
     return out if rows is None else out[rows]
 
 
@@ -152,12 +169,13 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
                cache: NeighborCache | None = None) -> np.ndarray:
     """Each row's k-1 most cosine-similar other rows, by decreasing similarity.
 
-    _nearest over the unit-norm rows with a zero offset; every row must have
-    nonzero norm. With a cache, only what changed since the cache's last
-    call is searched again: the rows whose features differ (C), and every
-    other row whose neighbors include a row of C or that some row of C now
-    lies within its k-1-th distance of (plus a rounding margin, as that
-    distance is read from C's side). The result is the full search's,
+    _nearest over the unit-norm rows with no offset, ranking by similarity;
+    every row must have nonzero norm. With a cache, only what changed since
+    the cache's last call is searched again: the rows whose features differ
+    (C), and every other row whose neighbors include a row of C or to which
+    some row of C is now at least as similar as its k-1-th neighbor, less a
+    margin of 4 (d + 2) eps in similarity, as both are read from C's side,
+    where i . j may round otherwise. The result is the full search's,
     bitwise, ties included: equal rows tie exactly, the lower index first
     (_nearest; TestCosineKnn and TestIncrementalKnn check both). The full
     search runs instead when the cache is empty or of another shape, when
@@ -169,28 +187,28 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
     if zero_rows.size:
         raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
     unit = features / norms[:, None]
-    n, offset = unit.shape[0], np.zeros(unit.shape[0])
+    n = unit.shape[0]
     if cache is None:
-        return _nearest(unit, offset, k_minus_1)
+        return _nearest(unit, None, k_minus_1)
     rows = None
     if (cache.features is not None and cache.features.shape == features.shape
             and cache.neighbors.shape[1] == k_minus_1 and n > NEIGHBOR_BLOCK):
         rows = np.flatnonzero((features != cache.features).any(axis=1))
         rows = rows if rows.size <= n // 4 else None
     if rows is None:
-        cache.neighbors = _nearest(unit, offset, k_minus_1)
+        cache.neighbors = _nearest(unit, None, k_minus_1)
     elif rows.size:
-        # each row's k-1-th distance, and each column's nearest row of C; both
-        # may round i . j unlike row i's own search, by at most the margin
-        kth = -2.0 * np.einsum("ij,ij->i", unit, unit[cache.neighbors[:, -1]])
-        reach = np.full(n, np.inf)
-        cache.neighbors[rows] = _nearest(unit, offset, k_minus_1, rows, reach)
-        margin = 8.0 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
+        # each row's k-1-th similarity, and each column's most similar row of
+        # C; both may round i . j unlike row i's own search, by at most the margin
+        kth = np.einsum("ij,ij->i", unit, unit[cache.neighbors[:, -1]])
+        reach = np.full(n, -np.inf)
+        cache.neighbors[rows] = _nearest(unit, None, k_minus_1, rows, reach)
+        margin = 4.0 * (unit.shape[1] + 2) * np.finfo(np.float64).eps
         in_c = np.zeros(n, dtype=bool)
         in_c[rows] = True
-        again = np.flatnonzero((in_c[cache.neighbors].any(axis=1) | (reach <= kth + margin))
+        again = np.flatnonzero((in_c[cache.neighbors].any(axis=1) | (reach >= kth - margin))
                                & ~in_c)
-        cache.neighbors[again] = _nearest(unit, offset, k_minus_1, again)
+        cache.neighbors[again] = _nearest(unit, None, k_minus_1, again)
     cache.features = features.copy()
     return cache.neighbors.copy()
 

@@ -49,6 +49,16 @@ from helpers import (
 )
 
 
+def traced_peak(search):
+    """The tracemalloc peak, in bytes, of one call of search()."""
+    tracemalloc.start()
+    try:
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_edge_invariants(neighbors, affinity, k):
     """Degree k, anchor outside its neighbors, k distinct members, affinities >= 0."""
     n = neighbors.shape[0]
@@ -98,13 +108,16 @@ class TestCosineKnn:
         rng = rng_for(419)
         feats, comp = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 64))
         for search in (lambda: cosine_knn(feats, 5), lambda: cluster_high_order(comp, 3)):
-            tracemalloc.start()
-            try:
-                search()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16e6  # one n x n float64 matrix alone is 32 MB
+            assert traced_peak(search) < 16e6  # one n x n float64 matrix alone is 32 MB
+
+    def test_search_holds_one_distance_block(self):
+        # one reused block plus the unit (d = 16) or centred (d = 64) rows;
+        # a second live block would pass either bound
+        rng = rng_for(419)
+        feats, comp = rng.standard_normal((2000, 16)), rng.standard_normal((2000, 64))
+        block = NEIGHBOR_BLOCK * 2000 * 8
+        assert traced_peak(lambda: cosine_knn(feats, 5)) < 2 * block
+        assert traced_peak(lambda: cluster_high_order(comp, 3)) < 2.5 * block
 
     def test_zero_norm_row_names_index(self):
         feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -136,7 +149,8 @@ class TestIncrementalKnn:
         points /= np.linalg.norm(points, axis=1)[:, None]
         copies = rng.choice(n, (2, max(3, n // 20)), replace=False)
         points[copies[1]] = points[copies[0]]
-        full = np.vstack([block for _, block in hypergraph._products(points, np.arange(n))])
+        # blocks share one buffer, so each one kept is copied
+        full = np.vstack([block.copy() for _, block in hypergraph._products(points, np.arange(n))])
         assert full[:, copies[1]].tobytes() == full[:, copies[0]].tobytes()
         cols = np.vstack((points, np.zeros((-n % COLUMN_TILE, d)))).T
         whole = n - n % NEIGHBOR_BLOCK
@@ -145,7 +159,7 @@ class TestIncrementalKnn:
         assert np.vstack(contiguous).tobytes() == full[:whole].tobytes()
         for size in [1, 2, *rng.integers(3, NEIGHBOR_BLOCK + 1, 6), 2 * NEIGHBOR_BLOCK + 5]:
             rows = np.sort(rng.choice(n, min(size, n), replace=False))
-            got = list(hypergraph._products(points, rows))
+            got = [(ids, block.copy()) for ids, block in hypergraph._products(points, rows)]
             assert np.array_equal(np.concatenate([ids for ids, _ in got]), rows)
             assert np.vstack([block for _, block in got]).tobytes() == full[rows].tobytes()
 
@@ -227,10 +241,37 @@ class TestNearest:
         for i in range(n):
             assert got[i].tolist() == [j for j in range(n) if j != i][:k]
 
+    @pytest.mark.parametrize("lattice", [True, False], ids=["lattice", "orthogonal"])
+    def test_similarity_ranking_and_reach(self, lattice):
+        # products here are exact (small integers, or sums of +-0 and +-1
+        # terms), so a plain loop gives each column maximum bitwise, up to
+        # the sign of a zero; both kinds are full of ties
+        rng = rng_for(432, int(lattice))
+        n = 2 * NEIGHBOR_BLOCK + 7
+        if lattice:
+            points = rng.integers(-2, 3, size=(n, 4)).astype(float)
+        else:  # +-e_i; -1.0 * e_i holds -0.0, so some products are -0.0
+            points = np.eye(6)[rng.integers(0, 6, n)] * rng.choice([-1.0, 1.0], (n, 1))
+        for rows in (None, np.sort(rng.choice(n, 40, replace=False))):
+            searched = np.arange(n) if rows is None else rows
+            want = np.full(n, -np.inf)
+            for j in range(n):
+                for i in searched:
+                    if i != j:
+                        want[j] = max(want[j], float(points[i] @ points[j]))
+            for k in (1, 5, n - 1):
+                reach = np.full(n, -np.inf)
+                got = _nearest(points, None, k, rows, reach)
+                assert np.array_equal(got, _nearest(points, np.zeros(n), k, rows))
+                assert np.array_equal(got, ref_nearest(points, np.zeros(n), k,
+                                                       NEIGHBOR_BLOCK)[searched])
+                assert np.array_equal(reach, want)
+
     def test_overflowing_distances_rejected(self):
         points = np.array([[1e200], [-1e200], [5e199], [-3e199], [2e199]])
-        with np.errstate(over="ignore"), pytest.raises(ConfigError, match="overflow"):
-            _nearest(points, np.zeros(5), 3)
+        for offset in (np.zeros(5), None):
+            with np.errstate(over="ignore"), pytest.raises(ConfigError, match="overflow"):
+                _nearest(points, offset, 3)
 
     def test_nonfinite_input_rejected(self):
         feats = rng_for(2).standard_normal((10, 3))
