@@ -178,8 +178,8 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
     where i . j may round otherwise. The result is the full search's,
     bitwise, ties included: equal rows tie exactly, the lower index first
     (_nearest; TestCosineKnn and TestIncrementalKnn check both). The full
-    search runs instead when the cache is empty or of another shape, when
-    more than n/4 rows changed, or when n <= NEIGHBOR_BLOCK.
+    search runs only with no cache, or with a cache that is empty or holds
+    another shape or k-1.
     """
     features = np.asarray(features, dtype=np.float64)
     norms = np.linalg.norm(features, axis=1)
@@ -190,14 +190,10 @@ def cosine_knn(features: np.ndarray, k_minus_1: int,
     n = unit.shape[0]
     if cache is None:
         return _nearest(unit, None, k_minus_1)
-    rows = None
-    if (cache.features is not None and cache.features.shape == features.shape
-            and cache.neighbors.shape[1] == k_minus_1 and n > NEIGHBOR_BLOCK):
-        rows = np.flatnonzero((features != cache.features).any(axis=1))
-        rows = rows if rows.size <= n // 4 else None
-    if rows is None:
+    if (cache.features is None or cache.features.shape != features.shape
+            or cache.neighbors.shape[1] != k_minus_1):
         cache.neighbors = _nearest(unit, None, k_minus_1)
-    elif rows.size:
+    elif (rows := np.flatnonzero((features != cache.features).any(axis=1))).size:
         # each row's k-1-th similarity, and each column's most similar row of
         # C; both may round i . j unlike row i's own search, by at most the margin
         kth = np.einsum("ij,ij->i", unit, unit[cache.neighbors[:, -1]])

@@ -152,11 +152,12 @@ def init_model(dim: int, class_count: int, seed: int, d_z: int | None = None) ->
 class Workspace:
     """Buffers of one training step on batches of up to `rows` rows, allocated once per run.
 
-    forward writes z and p here, backward dz and the gradients, and sgd_step
-    the new velocity: into whichever of the two velocity vectors the
-    velocity passed in is not, so they take turns and the velocity passed
-    in survives a failed step. Each new model's parameters are a fresh
-    vector, so an AdaptModel never changes.
+    backward and sgd_step always write here, and forward does when given
+    one: forward writes z and p, backward dz and the gradients, and
+    sgd_step the new velocity, into whichever of the two velocity vectors
+    the velocity passed in is not, so they take turns and the velocity
+    passed in survives a failed step. Each new model's parameters are a
+    fresh vector, so an AdaptModel never changes.
     """
 
     def __init__(self, model: AdaptModel, rows: int):
@@ -165,12 +166,12 @@ class Workspace:
         self.grads, *self.velocities = [GradientSet.zeros_like(model) for _ in range(3)]
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max-logit subtraction for stability; out may be logits."""
-    out = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=-1, keepdims=True)
-    return out
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with max-logit subtraction for stability, in place: returns logits."""
+    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=logits)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    return logits
 
 
 def forward(model: AdaptModel, x: np.ndarray,
@@ -182,12 +183,12 @@ def forward(model: AdaptModel, x: np.ndarray,
     z, p = (None, None) if ws is None else (ws.z[:len(x)], ws.p[:len(x)])
     z = np.maximum(0.0, np.add(np.matmul(x, model.W_f, out=z), model.b_f, out=z), out=z)
     p = np.add(np.matmul(z, model.W_g, out=p), model.b_g, out=p)
-    return z, softmax(p, out=p)
+    return z, softmax(p)
 
 
 def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarray,
-             upstream: np.ndarray, ws: Workspace | None = None) -> GradientSet:
-    """Exact gradients of a loss given dL/dp for each batch row: fresh, or the workspace's.
+             upstream: np.ndarray, ws: Workspace) -> GradientSet:
+    """Exact gradients of a loss given dL/dp for each batch row, in the workspace's arrays.
 
     Softmax Jacobian applied as dlogits = p * (u - (u . p)); ReLU passes
     gradient only where z > 0 (subgradient at 0 taken as 0).
@@ -197,28 +198,27 @@ def backward(model: AdaptModel, batch_x: np.ndarray, z: np.ndarray, p: np.ndarra
             f"upstream shape {upstream.shape} does not align with batch of {p.shape}"
         )
     dlogits = p * (upstream - (upstream * p).sum(axis=1, keepdims=True))
-    grads = GradientSet.zeros_like(model) if ws is None else ws.grads
+    grads = ws.grads
     np.matmul(z.T, dlogits, out=grads.W_g)
     dlogits.sum(axis=0, out=grads.b_g)
-    dz = np.matmul(dlogits, model.W_g.T, out=None if ws is None else ws.dz[:len(p)])
-    dz *= np.greater(z, 0.0, out=None if ws is None else ws.active[:len(p)])
+    dz = np.matmul(dlogits, model.W_g.T, out=ws.dz[:len(p)])
+    dz *= np.greater(z, 0.0, out=ws.active[:len(p)])
     np.matmul(batch_x.T, dz, out=grads.W_f)
     dz.sum(axis=0, out=grads.b_f)
     return grads
 
 
 def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet, lr: float,
-             momentum: float, ws: Workspace | None = None) -> tuple[AdaptModel, GradientSet]:
+             momentum: float, ws: Workspace) -> tuple[AdaptModel, GradientSet]:
     """v <- momentum*v + grad; theta <- theta - lr*v over the flat vectors.
 
     Neither the model nor the velocity passed in changes. The new velocity
-    is fresh, or the workspace's other velocity vector; the new model is
-    always fresh. A non-finite result names the first non-finite gradient
-    tensor, or else the first non-finite parameter tensor. AdaptConfig
-    checks lr and momentum.
+    is the workspace's other velocity vector; the new model is always
+    fresh. A non-finite result names the first non-finite gradient tensor,
+    or else the first non-finite parameter tensor. AdaptConfig checks lr
+    and momentum.
     """
-    new_velocity = (GradientSet.zeros_like(model) if ws is None
-                    else ws.velocities[velocity is ws.velocities[0]])
+    new_velocity = ws.velocities[velocity is ws.velocities[0]]
     v = np.multiply(velocity.flat, momentum, out=new_velocity.flat)
     v += grads.flat
     theta = v * -lr  # theta - lr * v bit for bit, one temporary fewer

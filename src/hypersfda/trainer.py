@@ -309,7 +309,7 @@ def adapt(
 
     metrics: list[MetricsRecord] = []
     labeled = target.labels is not None
-    # this call's alone: a refresh or a resume starts it with a full search
+    # this call's alone: its first search, after a start or a resume, is a full one
     neighbor_cache = NeighborCache()
     start = state.iteration
 

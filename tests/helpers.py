@@ -15,9 +15,9 @@ flags a subcommand registers, for the CLI and API-surface tests; `adapt_for`
 stops an `adapt` run early, for the checkpoint and resume tests, and
 `to_dense` spells out a relation matrix. `ref_csv_text` formats a dataset
 CSV value by value, as one string. `ref_adapt_iteration` replays one
-iteration of `adapt` with the allocating step functions; it imports the
-objective's batch functions, and the trainer's batch and bank helpers, so
-that only the step is compared.
+iteration of `adapt` with the straight-line `ref_backward` and
+`ref_sgd_step`; it imports the objective's batch functions, and the
+trainer's batch and bank helpers, so that only the step is compared.
 """
 from __future__ import annotations
 
@@ -27,17 +27,16 @@ import copy
 import numpy as np
 
 from hypersfda import (
+    AdaptModel,
     ConfigError,
     EmaState,
     GradientSet,
     RelationMatrix,
     TrainerState,
     adapt,
-    backward,
     forward,
     lambda_schedule,
     refresh_hypergraph,
-    sgd_step,
 )
 from hypersfda.config import seeded_rng
 from hypersfda.datagen import (
@@ -143,10 +142,11 @@ def initial_state(model, target, cfg) -> TrainerState:
 def ref_adapt_iteration(state, target, cfg):
     """Iteration state.iteration of adapt on a copy of `state`: (new state, loss sums).
 
-    Straight-line and allocating: forward, adaptive_loss_batch,
-    ema_update_batch, kl_regularizer_batch, backward, sgd_step and forward
-    again, each without a workspace, after the refresh that falls due. The
-    sums are the batch's (pull, push, reg), zeros for an empty batch.
+    Straight-line and allocating: forward without a workspace,
+    adaptive_loss_batch, ema_update_batch, kl_regularizer_batch,
+    ref_backward, ref_sgd_step and forward again, after the refresh that
+    falls due. The sums are the batch's (pull, push, reg), zeros for an
+    empty batch.
     """
     state = copy.deepcopy(state)
     t, n, size = state.iteration, target.n, cfg.batch_size
@@ -168,9 +168,9 @@ def ref_adapt_iteration(state, target, cfg):
             lambda_schedule(t, cfg.epochs * per_epoch, cfg.beta))
         q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
         reg, grad_reg = kl_regularizer_batch(q_rows, p)
-        grads = backward(state.model, x, z, p, grad_ada + cfg.eta * grad_reg)
-        state.model, state.velocity = sgd_step(state.model, grads, state.velocity, cfg.lr,
-                                               cfg.momentum)
+        grads = GradientSet(*ref_backward(state.model, x, z, p, grad_ada + cfg.eta * grad_reg))
+        theta, velocity = ref_sgd_step(state.model, grads, state.velocity, cfg.lr, cfg.momentum)
+        state.model, state.velocity = AdaptModel(*theta), GradientSet(*velocity)
         z, p = forward(state.model, x)
         state.bank.features[batch] = knn_safe_features(z)
         state.bank.predictions[batch] = p

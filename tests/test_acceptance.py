@@ -51,6 +51,7 @@ from hypersfda import (
     self_loop_affinities,
 )
 from hypersfda.hypergraph import normalized_entropy, pca_rows
+from hypersfda.model import Workspace
 from hypersfda.objective import adaptive_loss_batch, ema_update_batch, kl_regularizer_batch
 from hypersfda.trainer import iterations_per_epoch
 
@@ -118,7 +119,7 @@ def test_criterion_1_gradient_vs_finite_difference():
         z, p = forward(model, x)
         pull, push, grad_ada = adaptive_loss_batch(p, close, mask, gamma, lam)
         _, grad_reg = kl_regularizer_batch(q, p)
-        grads = backward(model, x, z, p, grad_ada + eta * grad_reg)
+        grads = backward(model, x, z, p, grad_ada + eta * grad_reg, Workspace(model, b))
 
         # the loss treats distance weights and retrieved rows as constants,
         # so the finite-difference surrogate freezes them at the base point

@@ -196,10 +196,12 @@ class TestIncrementalKnn:
             if step % 5 == 4:
                 feats[rows[:2]] = 0.0
             feats = knn_safe_features(feats)
+            subsets.clear()
             got = cosine_knn(feats, k, cache)
+            # once the cache is filled, whatever n and however many rows
+            # changed, only subsets are searched
+            assert step == 0 or (subsets and all(subsets)), step
             assert np.array_equal(got, cosine_knn(feats, k)), step
-        if n > NEIGHBOR_BLOCK:
-            assert any(subsets)
 
 
 class TestNearest:

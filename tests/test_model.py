@@ -20,7 +20,7 @@ from hypersfda import (
     save_model,
     sgd_step,
 )
-from hypersfda.model import smoothed_cross_entropy, softmax
+from hypersfda.model import Workspace, smoothed_cross_entropy, softmax
 
 from helpers import central_difference, ref_backward, ref_sgd_step, rng_for
 
@@ -78,7 +78,7 @@ class TestBackward:
 
         z, p = forward(m, x)
         _, upstream = smoothed_cross_entropy(p, labels, 3, 0.1)
-        grads = backward(m, x, z, p, upstream)
+        grads = backward(m, x, z, p, upstream, Workspace(m, len(x)))
 
         def loss_of(tensors):
             model = AdaptModel(*tensors)
@@ -102,14 +102,14 @@ class TestBackward:
         x = np.array([[-50.0, -50.0]])
         z, p = forward(m, x)
         assert (z == 0).all()
-        grads = backward(m, x, z, p, np.ones_like(p))
+        grads = backward(m, x, z, p, np.ones_like(p), Workspace(m, 1))
         assert np.array_equal(grads.W_f, np.zeros_like(grads.W_f))
 
     def test_shape_mismatch_rejected(self):
         m = tiny_model()
         z, p = forward(m, np.ones((2, 3)))
         with pytest.raises(ConfigError):
-            backward(m, np.ones((2, 3)), z, p, np.ones((3, 3)))
+            backward(m, np.ones((2, 3)), z, p, np.ones((3, 3)), Workspace(m, 2))
 
 
 class TestSgdStep:
@@ -117,10 +117,11 @@ class TestSgdStep:
         m = tiny_model()
         g = GradientSet(*[np.ones_like(t) for t in m.tensors()])
         v = GradientSet.zeros_like(m)
-        m1, v1 = sgd_step(m, g, v, lr=0.1, momentum=0.9)
+        ws = Workspace(m, 1)
+        m1, v1 = sgd_step(m, g, v, lr=0.1, momentum=0.9, ws=ws)
         assert np.allclose(m1.W_f, m.W_f - 0.1)
         assert np.allclose(v1.W_f, 1.0)
-        m2, v2 = sgd_step(m1, g, v1, lr=0.1, momentum=0.9)
+        m2, v2 = sgd_step(m1, g, v1, lr=0.1, momentum=0.9, ws=ws)
         assert np.allclose(v2.W_f, 1.9)
         assert np.allclose(m2.W_f, m1.W_f - 0.19)
 
@@ -128,7 +129,7 @@ class TestSgdStep:
         m = tiny_model()
         before = m.W_f.copy()
         g = GradientSet(*[np.ones_like(t) for t in m.tensors()])
-        sgd_step(m, g, GradientSet.zeros_like(m), lr=0.1, momentum=0.0)
+        sgd_step(m, g, GradientSet.zeros_like(m), lr=0.1, momentum=0.0, ws=Workspace(m, 1))
         assert np.array_equal(m.W_f, before)
 
     def test_non_finite_gradient_names_tensor(self):
@@ -136,7 +137,8 @@ class TestSgdStep:
         tensors = [np.zeros_like(t) for t in m.tensors()]
         tensors[2][0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W_g"):
-            sgd_step(m, GradientSet(*tensors), GradientSet.zeros_like(m), 0.1, 0.9)
+            sgd_step(m, GradientSet(*tensors), GradientSet.zeros_like(m), 0.1, 0.9,
+                     Workspace(m, 1))
 
     @given(lr=st.floats(1e-5, 1.0), momentum=st.floats(0.0, 0.99))
     def test_gradient_superposition(self, lr, momentum):
@@ -147,7 +149,7 @@ class TestSgdStep:
         g2 = GradientSet(*[rng.standard_normal(t.shape) for t in m.tensors()])
         v0 = GradientSet.zeros_like(m)
         g_sum = GradientSet(*[a + b for a, b in zip(g1.tensors(), g2.tensors())])
-        lhs, _ = sgd_step(m, g_sum, v0, lr, momentum)
+        lhs, _ = sgd_step(m, g_sum, v0, lr, momentum, Workspace(m, 1))
         rhs_manual = [t - lr * (a + b) for t, a, b in
                       zip(m.tensors(), g1.tensors(), g2.tensors())]
         for got, want in zip(lhs.tensors(), rhs_manual):
@@ -274,7 +276,7 @@ class TestStepMatchesPerTensorOracles:
         x = rng.standard_normal((17, d))
         z, p = forward(m, x)
         upstream = rng.standard_normal(p.shape)
-        grads = backward(m, x, z, p, upstream)
+        grads = backward(m, x, z, p, upstream, Workspace(m, len(x)))
         for got, want in zip(grads.tensors(), ref_backward(m, x, z, p, upstream)):
             assert got.tobytes() == want.tobytes()
 
@@ -284,7 +286,7 @@ class TestStepMatchesPerTensorOracles:
         m = tiny_model(seed=seed, dim=4, d_z=5)
         g = GradientSet(*[rng.standard_normal(t.shape) for t in m.tensors()])
         v = GradientSet(*[rng.standard_normal(t.shape) for t in m.tensors()])
-        new_m, new_v = sgd_step(m, g, v, lr, momentum)
+        new_m, new_v = sgd_step(m, g, v, lr, momentum, Workspace(m, 1))
         want_m, want_v = ref_sgd_step(m, g, v, lr, momentum)
         for got, want in zip((*new_m.tensors(), *new_v.tensors()), (*want_m, *want_v)):
             assert got.tobytes() == want.tobytes()
@@ -295,7 +297,8 @@ class TestStepMatchesPerTensorOracles:
         tensors = [np.zeros_like(t) for t in m.tensors()]
         tensors[1][0] = 1e308
         with pytest.raises(FloatingPointError, match="non-finite values in b_f"):
-            sgd_step(m, GradientSet(*tensors), GradientSet.zeros_like(m), 10.0, 0.0)
+            sgd_step(m, GradientSet(*tensors), GradientSet.zeros_like(m), 10.0, 0.0,
+                     Workspace(m, 1))
 
 
 class TestCheckpointFormat:

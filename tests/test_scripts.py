@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
                                           reason="reads /proc/self/statm")),
     (["refresh_probe.py", "--sizes", "200"], ["n stage cpu_s peak_mb minflt", "pca_rows"]),
     (["step_probe.py", "--epochs", "1", "--repeat", "1"], ["matmul floor"]),
-    (["src_lines.py"], ["total"]),
+    (["src_lines.py"], ["file total code docstring comment blank defaults", "total"]),
 ], ids=["rss_phases", "refresh_probe", "step_probe", "src_lines"])
 def test_probe_script_runs(argv, wanted):
     done = subprocess.run(

@@ -547,7 +547,7 @@ def state_bytes(state: TrainerState) -> list:
 
 
 class TestStepMatchesStraightLineOracle:
-    """adapt's buffered step against the allocating one, iteration by iteration."""
+    """adapt's buffered step against the straight-line oracle, iteration by iteration."""
 
     @pytest.mark.parametrize("case", ["short_last_batch", "open_set", "labeled"])
     def test_every_iteration_bitwise(self, case):
