@@ -31,7 +31,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 import hypersfda as hs  # noqa: E402
 from hypersfda import hypergraph  # noqa: E402
-from hypersfda.trainer import knn_safe_features  # noqa: E402
 
 REPEAT = 3
 
@@ -61,7 +60,7 @@ def first_refresh_stages(n: int, seed: int):
     model, _ = hs.pretrain_source(hs.init_model(16, 4, seed=seed), source, 80,
                                   hs.AdaptConfig(seed=seed, lr=0.01))
     z, p = hs.forward(model, target.features)
-    z = knn_safe_features(z)
+    z = hypergraph.knn_safe_features(z)  # the rows the refresh's search and solve see
 
     neighbors, *row = measure(lambda: hs.cosine_knn(z, cfg.k - 1))
     yield "cosine_knn", *row

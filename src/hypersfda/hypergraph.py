@@ -15,6 +15,13 @@ neighbors by cosine similarity of adapter features. Over n samples:
   reading of the paper: PAPER.md holds only the abstract, so the paper's
   exact self-loop formula cannot be checked here.
 
+A sample whose adapter activations are all zero has no direction: the
+cosine search and the hyperedge build take the all-ones direction for
+such a row (knn_safe_features), so callers pass features as the model
+gave them. build_artifacts owns the refresh's modelling choices: the
+high-order ablation's pairwise fallback, the self-loop merge and the m'
+default, all read from the AdaptConfig.
+
 All neighbor searches go through one kernel, _nearest. It writes each
 block of NEIGHBOR_BLOCK rows of products into one reused buffer
 (_products) and ranks by a score, largest first, that is bitwise the
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, seeded_rng
+from .config import AdaptConfig, ConfigError, seeded_rng
 
 SOLVER_MAX_ITER = 10_000
 SOLVER_ROUNDS = 8
@@ -165,28 +172,38 @@ class NeighborCache:
     neighbors: np.ndarray | None = None
 
 
+def knn_safe_features(z: np.ndarray) -> np.ndarray:
+    """Map zero-norm rows to an all-ones direction so cosine is defined.
+
+    A sample whose adapter activations are all clipped to zero has no
+    direction; such rows (rare) are grouped on a fixed constant vector.
+    """
+    zero = np.einsum("ij,ij->i", z, z) == 0  # the zero test of the row norm, underflow too
+    return np.where(zero[:, None], 1.0, z) if np.count_nonzero(zero) else z
+
+
 def cosine_knn(features: np.ndarray, k_minus_1: int,
                cache: NeighborCache | None = None) -> np.ndarray:
     """Each row's k-1 most cosine-similar other rows, by decreasing similarity.
 
     _nearest over the unit-norm rows with no offset, ranking by similarity;
-    every row must have nonzero norm. With a cache, only what changed since
-    the cache's last call is searched again: the rows whose features differ
-    (C), and every other row whose neighbors include a row of C or to which
-    some row of C is now at least as similar as its k-1-th neighbor, less a
-    margin of 4 (d + 2) eps in similarity, as both are read from C's side,
-    where i . j may round otherwise. The result is the full search's,
+    a zero row takes the all-ones direction (knn_safe_features), so zero
+    rows tie one another exactly. A matrix with no columns raises
+    ConfigError. With a cache, only what changed since the cache's last
+    call is searched again: the rows whose features differ (C), and every
+    other row whose neighbors include a row of C or to which some row of C
+    is now at least as similar as its k-1-th neighbor, less a margin of
+    4 (d + 2) eps in similarity, as both are read from C's side, where
+    i . j may round otherwise. The result is the full search's,
     bitwise, ties included: equal rows tie exactly, the lower index first
     (_nearest; TestCosineKnn and TestIncrementalKnn check both). The full
     search runs only with no cache, or with a cache that is empty or holds
     another shape or k-1.
     """
-    features = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(features, axis=1)
-    zero_rows = np.flatnonzero(norms == 0)
-    if zero_rows.size:
-        raise ConfigError(f"zero-norm feature row at index {zero_rows[0]}")
-    unit = features / norms[:, None]
+    features = knn_safe_features(np.asarray(features, dtype=np.float64))
+    if features.shape[1] == 0:  # every row is zero, and no all-ones direction exists
+        raise ConfigError("cosine neighbors need at least one feature column")
+    unit = features / np.linalg.norm(features, axis=1)[:, None]
     n = unit.shape[0]
     if cache is None:
         return _nearest(unit, None, k_minus_1)
@@ -401,11 +418,13 @@ def build_hyperedges(features: np.ndarray, k: int,
                      alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One hyperedge per node: itself plus its k-1 cosine neighbors.
 
-    Returns (neighbors (n, k-1), affinity (n, k), converged (n,)): column 0
-    of affinity is the anchor's coefficient, exactly 1, and converged says
-    whether each edge's affinity solve met its tolerance.
+    A zero row takes the all-ones direction (knn_safe_features) in both the
+    neighbor search and the affinity solve. Returns (neighbors (n, k-1),
+    affinity (n, k), converged (n,)): column 0 of affinity is the anchor's
+    coefficient, exactly 1, and converged says whether each edge's affinity
+    solve met its tolerance.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = knn_safe_features(np.asarray(features, dtype=np.float64))
     n = features.shape[0]
     if k <= 2:
         raise ConfigError(f"k must be greater than 2, got {k}")
@@ -582,18 +601,22 @@ def cluster_high_order(compressed: np.ndarray, h: int) -> np.ndarray:
     return _nearest(c, np.einsum("ij,ij->i", c, c), h)
 
 
-def build_artifacts(features: np.ndarray, predictions: np.ndarray, *, k: int,
-                    alpha: float, h: int, m_prime: int | None, seed: int,
-                    use_self_loops: bool = True) -> np.ndarray:
-    """Full pipeline: hyperedges, self-loops, relation matrix, PCA, clusters.
+def build_artifacts(features: np.ndarray, predictions: np.ndarray,
+                    cfg: AdaptConfig) -> np.ndarray:
+    """The refresh's (n, h) close sets from adapter features and predictions.
 
-    Returns the (n, h) close-set matrix of cluster_high_order. A caller
-    that needs an intermediate array calls the stages itself.
+    With cfg.high_order, the full pipeline: hyperedges, self-loops (merged
+    only with cfg.use_self_loops), relation matrix, PCA to cfg.m_prime
+    components (default_m_prime when None), and cluster_high_order. Without
+    it, the pairwise arm: each row's cfg.h cosine neighbors. A caller that
+    needs an intermediate array calls the stages itself.
     """
-    neighbors, affinity, _ = build_hyperedges(features, k, alpha)
-    if use_self_loops:
+    if not cfg.high_order:
+        return cosine_knn(features, cfg.h)
+    neighbors, affinity, _ = build_hyperedges(features, cfg.k, cfg.alpha)
+    if cfg.use_self_loops:
         selfloops = self_loop_affinities(neighbors, predictions)
         affinity = merge_self_loops(neighbors, affinity, selfloops)
     relation = build_relation_matrix(neighbors, affinity)
-    m_prime = default_m_prime(len(neighbors)) if m_prime is None else m_prime
-    return cluster_high_order(pca_rows(relation, m_prime, seed)[0], h)
+    m_prime = default_m_prime(len(neighbors)) if cfg.m_prime is None else cfg.m_prime
+    return cluster_high_order(pca_rows(relation, m_prime, cfg.seed)[0], cfg.h)

@@ -331,7 +331,11 @@ def read_array(fh, dtype: str, shape: tuple[int, ...], what: str,
 
 
 def read_header(fh) -> tuple[int, int, int, int]:
-    """Parse magic/version/dims; returns (version, d, d_z, class_count)."""
+    """Parse magic/version/dims; returns (version, d, d_z, class_count).
+
+    Dims init_model cannot build (d or d_z below 1, fewer than 2 classes)
+    raise CheckpointError.
+    """
     magic = read_exact(fh, 4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -339,6 +343,9 @@ def read_header(fh) -> tuple[int, int, int, int]:
     if version not in (CHECKPOINT_VERSION_MODEL, CHECKPOINT_VERSION_TRAINER):
         raise CheckpointError(f"unsupported checkpoint version {version}")
     d, d_z, c = struct.unpack("<III", read_exact(fh, 12, "dims"))
+    if d < 1 or d_z < 1 or c < 2:
+        raise CheckpointError(f"checkpoint dims dim={d}, d_z={d_z}, classes={c}: "
+                              "need dim >= 1, d_z >= 1 and classes >= 2")
     return version, d, d_z, c
 
 

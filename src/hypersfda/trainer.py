@@ -52,7 +52,11 @@ from .objective import (
 
 @dataclass
 class MemoryBank:
-    """Cached adapter features and predictions, one row per target sample."""
+    """Cached adapter features and predictions, one row per target sample.
+
+    The features are held as the model gave them, zero rows included; the
+    neighbor searches take the all-ones direction for a zero row.
+    """
 
     features: np.ndarray
     predictions: np.ndarray
@@ -119,39 +123,21 @@ def epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return seeded_rng(seed, 71, epoch).permutation(n)
 
 
-def knn_safe_features(z: np.ndarray) -> np.ndarray:
-    """Map zero-norm rows to an all-ones direction so cosine is defined.
-
-    A sample whose adapter activations are all clipped to zero has no
-    direction; such rows (rare) are grouped on a fixed constant vector.
-    """
-    zero = np.einsum("ij,ij->i", z, z) == 0  # the zero test of the row norm, underflow too
-    return np.where(zero[:, None], 1.0, z) if np.count_nonzero(zero) else z
-
-
 def refresh_hypergraph(
     model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig
 ) -> tuple[MemoryBank, np.ndarray, np.ndarray]:
     """Full forward pass, then the bank, the (n, h) close sets and the known mask.
 
-    With high_order disabled the hypergraph is skipped entirely and close
-    sets fall back to plain cosine neighbors of the adapter features. The
-    known mask is all-true, or in open-set mode False on the unknown set
-    of open_set_split. Model outputs that overflow (a feature's squared
-    norm, or a prediction), and a PCA whose coefficients are not finite,
-    raise FloatingPointError.
+    The bank holds the forward pass's outputs; build_artifacts forms the
+    close sets from them under cfg. The known mask is all-true, or in
+    open-set mode False on the unknown set of open_set_split. Model outputs
+    that overflow (a feature's squared norm, or a prediction), and a PCA
+    whose coefficients are not finite, raise FloatingPointError.
     """
     z, p = forward(model, target.features)
     if not (np.isfinite(np.einsum("ij,ij->i", z, z)).all() and np.isfinite(p).all()):
         raise FloatingPointError("model outputs on the target overflow")
-    z = knn_safe_features(z)
-    if cfg.high_order:
-        clusters = build_artifacts(
-            z, p, k=cfg.k, alpha=cfg.alpha, h=cfg.h, m_prime=cfg.m_prime,
-            seed=cfg.seed, use_self_loops=cfg.use_self_loops,
-        )
-    else:
-        clusters = cosine_knn(z, cfg.h)
+    clusters = build_artifacts(z, p, cfg)
     known_mask = np.ones(target.n, dtype=bool)
     if cfg.open_set:
         known_mask[open_set_split(p)[1]] = False
@@ -211,10 +197,7 @@ def evaluate(
     if dataset.n < 2:
         raise ConfigError(f"evaluation needs at least 2 samples, got {dataset.n}")
     z, p = forward(model, dataset.features)
-    if bank is None:
-        feats, preds = knn_safe_features(z), p
-    else:
-        feats, preds = knn_safe_features(bank.features), bank.predictions
+    feats, preds = (z, p) if bank is None else (bank.features, bank.predictions)
     acc = float(np.mean(p.argmax(axis=1) == dataset.labels))
 
     neighbor_idx = cosine_knn(feats, min(h, dataset.n - 1), cache)
@@ -362,7 +345,7 @@ def adapt(
                 state.ema.q[batch], state.ema.last_update_iter[batch] = q_prev, stamp_prev
                 raise TrainingAborted(f"aborted at iteration {t}: {exc}", state) from exc
             state.model, state.velocity = new_model, new_velocity
-            state.bank.features[batch] = knn_safe_features(z)
+            state.bank.features[batch] = z
             state.bank.predictions[batch] = p
 
         losses = dict(total=total, l_ada_pull=pull, l_ada_push=push, l_reg=reg, lambda_used=lam)

@@ -16,8 +16,8 @@ stops an `adapt` run early, for the checkpoint and resume tests, and
 `to_dense` spells out a relation matrix. `ref_csv_text` formats a dataset
 CSV value by value, as one string. `ref_adapt_iteration` replays one
 iteration of `adapt` with the straight-line `ref_backward` and
-`ref_sgd_step`; it imports the objective's batch functions, and the
-trainer's batch and bank helpers, so that only the step is compared.
+`ref_sgd_step`; it imports the objective's batch functions and the
+trainer's batch helpers, so that only the step is compared.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ from hypersfda.hypergraph import (
     solve_affinity_batch,
 )
 from hypersfda.objective import adaptive_loss_batch, ema_update_batch, kl_regularizer_batch
-from hypersfda.trainer import epoch_permutation, iterations_per_epoch, knn_safe_features
+from hypersfda.trainer import epoch_permutation, iterations_per_epoch
 
 
 def rng_for(*key: int) -> np.random.Generator:
@@ -145,8 +145,9 @@ def ref_adapt_iteration(state, target, cfg):
     Straight-line and allocating: forward without a workspace,
     adaptive_loss_batch, ema_update_batch, kl_regularizer_batch,
     ref_backward, ref_sgd_step and forward again, after the refresh that
-    falls due. The sums are the batch's (pull, push, reg), zeros for an
-    empty batch.
+    falls due; the bank rows of the batch get that last forward's features
+    as they are, zero rows included. The sums are the batch's (pull, push,
+    reg), zeros for an empty batch.
     """
     state = copy.deepcopy(state)
     t, n, size = state.iteration, target.n, cfg.batch_size
@@ -172,7 +173,7 @@ def ref_adapt_iteration(state, target, cfg):
         theta, velocity = ref_sgd_step(state.model, grads, state.velocity, cfg.lr, cfg.momentum)
         state.model, state.velocity = AdaptModel(*theta), GradientSet(*velocity)
         z, p = forward(state.model, x)
-        state.bank.features[batch] = knn_safe_features(z)
+        state.bank.features[batch] = z
         state.bank.predictions[batch] = p
         sums = (float(pull.sum()), float(push.sum()), float(reg.sum()))
     state.iteration = t + 1

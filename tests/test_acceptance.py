@@ -230,7 +230,7 @@ def test_criterion_3_hypergraph_invariants_and_reference():
             h = int(rng.integers(1, 4))
             m_prime = int(rng.integers(1, min(6, n)))
             clusters = build_artifacts(
-                features, predictions, k=k, alpha=alpha, h=h, m_prime=m_prime, seed=idx
+                features, predictions, AdaptConfig(k=k, alpha=alpha, h=h, m_prime=m_prime, seed=idx)
             )
             ref = ref_pipeline(
                 features, predictions, k=k, alpha=alpha, h=h, m_prime=m_prime

@@ -13,9 +13,11 @@ import pytest
 
 from hypersfda import (
     AdaptConfig,
+    AdaptModel,
     EmaState,
     EmbeddingDataset,
     GradientSet,
+    TrainerState,
     adapt,
     init_model,
     load_checkpoint,
@@ -23,6 +25,7 @@ from hypersfda import (
     load_model,
     save_checkpoint,
     save_dataset,
+    save_model,
 )
 from hypersfda import cli
 from hypersfda.cli import _COMMAND_FIELDS, main
@@ -706,6 +709,38 @@ class TestBadInputs:
                        "--data", workspace / "target.csv") == 2
         err = capsys.readouterr().err
         assert "non-finite values" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("dims", [(8, 8, 0), (8, 8, 1), (8, 0, 3), (0, 8, 3)],
+                             ids=lambda dims: "dim={}-d_z={}-classes={}".format(*dims))
+    def test_checkpoint_dims_no_model_can_have(self, workspace, tmp_path, capsys, dims):
+        # whole files, each array of the shape its header promises
+        d, d_z, c = dims
+        rng = np.random.default_rng(0)
+        model = AdaptModel(rng.standard_normal((d, d_z)), rng.standard_normal(d_z),
+                           rng.standard_normal((d_z, c)), rng.standard_normal(c))
+        save_model(model, tmp_path / "model.ckpt")
+        n = 60  # the target's samples
+        bank = SimpleNamespace(features=np.zeros((n, d_z)),
+                               predictions=np.full((n, c), 1 / max(c, 1)))
+        save_checkpoint(TrainerState(model, GradientSet.zeros_like(model), EmaState.initial(n, c),
+                                     bank, np.zeros((n, 3), dtype=np.int64),
+                                     np.ones(n, dtype=bool), 1, 0), tmp_path / "state.ckpt")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.jsonl").write_text("kept\n")
+        adapt_args = ["--target", workspace / "target.csv", *ADAPT_FLAGS, "--seed", "0",
+                      "--out", out, "--quiet"]
+        message = f"dim={d}, d_z={d_z}, classes={c}"
+        for argv in (
+            ["eval", "--model", tmp_path / "model.ckpt", "--data", workspace / "target.csv"],
+            ["adapt", "--model", tmp_path / "model.ckpt", *adapt_args],
+            ["adapt", "--model", workspace / "source_model.ckpt",
+             "--resume", tmp_path / "state.ckpt", *adapt_args],
+        ):
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err, argv
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == {"metrics.jsonl": b"kept\n"}
 
     def test_header_promising_more_than_the_file_holds(self, workspace, tmp_path, capsys):
         # d = d_z = 65535 asks for a 34 GB W_f from an 82-byte file

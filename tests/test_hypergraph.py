@@ -6,6 +6,7 @@ import scipy.optimize
 from hypothesis import given, strategies as st
 
 from hypersfda import (
+    AdaptConfig,
     ConfigError,
     RelationMatrix,
     build_artifacts,
@@ -26,10 +27,10 @@ from hypersfda.hypergraph import (
     SOLVER_MAX_ITER,
     _nearest,
     default_m_prime,
+    knn_safe_features,
     pca_rows,
     solve_affinity_batch,
 )
-from hypersfda.trainer import knn_safe_features
 
 from helpers import (
     dense_relation,
@@ -69,6 +70,19 @@ def assert_edge_invariants(neighbors, affinity, k):
     assert np.isfinite(affinity).all() and (affinity >= 0).all()
 
 
+class TestKnnSafeFeatures:
+    def test_passthrough_without_zero_rows(self):
+        z = rng_for(80).uniform(0.1, 1.0, (5, 3))
+        assert knn_safe_features(z) is z
+
+    def test_zero_rows_become_ones(self):
+        z = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
+        out = knn_safe_features(z)
+        assert np.array_equal(out[1], [1.0, 1.0])
+        assert np.array_equal(out[0], z[0]) and np.array_equal(out[2], z[2])
+        assert np.array_equal(z[1], [0.0, 0.0])  # input untouched
+
+
 class TestCosineKnn:
     def test_hand_case(self):
         feats = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.0]])
@@ -95,14 +109,14 @@ class TestCosineKnn:
         feats = np.random.default_rng(0).standard_normal((100, 16))
         feats[99] = feats[0]
         assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5))
-        # zero rows mapped to ones, the usual source of equal rows, in
+        # zero rows, searched as ones: the usual source of equal rows, in
         # several blocks and column tiles
         for n, d in [(100, 16), (301, 6), (600, 16)]:
             rng = rng_for(104, n, d)
             feats = rng.standard_normal((n, d))
             feats[rng.choice(n, max(4, n // 50), replace=False)] = 0.0
-            feats = knn_safe_features(feats)
-            assert np.array_equal(cosine_knn(feats, 5), ref_cosine_knn(feats, 5)), (n, d)
+            want = ref_cosine_knn(knn_safe_features(feats), 5)
+            assert np.array_equal(cosine_knn(feats, 5), want), (n, d)
 
     def test_memory_is_blockwise(self):
         rng = rng_for(419)
@@ -119,10 +133,10 @@ class TestCosineKnn:
         assert traced_peak(lambda: cosine_knn(feats, 5)) < 2 * block
         assert traced_peak(lambda: cluster_high_order(comp, 3)) < 2.5 * block
 
-    def test_zero_norm_row_names_index(self):
-        feats = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ConfigError, match="index 1"):
-            cosine_knn(feats, 1)
+    def test_matrix_without_columns_is_refused(self):
+        # every row would be zero, and searched as the empty all-ones row
+        with pytest.raises(ConfigError, match="at least one feature column"):
+            cosine_knn(np.empty((3, 0)), 1)
 
     def test_bounds(self):
         feats = np.ones((4, 2)) + rng_for(1).standard_normal((4, 2)) * 0.1
@@ -184,24 +198,27 @@ class TestIncrementalKnn:
                 return rng.integers(-1, 2, (m, d)).astype(float)
             return rng.standard_normal((m, d))
 
-        feats = knn_safe_features(draw(n))
+        feats = draw(n)
         cache = NeighborCache()
         for step in range(25):
             m = min(n, int(rng.choice([1, 1, 3, 16, NEIGHBOR_BLOCK, n // 4, n // 4 + 1, n])))
             rows = rng.choice(n, m, replace=False)
             feats = feats.copy()
             feats[rows] = draw(m)
-            if step % 5 == 2:  # copies of other rows, and zero rows mapped to ones
+            if step % 5 == 2:  # copies of other rows, and zero rows
                 feats[rows[:m // 2 + 1]] = feats[rng.integers(0, n)]
             if step % 5 == 4:
                 feats[rows[:2]] = 0.0
-            feats = knn_safe_features(feats)
             subsets.clear()
             got = cosine_knn(feats, k, cache)
             # once the cache is filled, whatever n and however many rows
             # changed, only subsets are searched
             assert step == 0 or (subsets and all(subsets)), step
             assert np.array_equal(got, cosine_knn(feats, k)), step
+        # the zero rows are searched as ones; lattice rows tie by rounding,
+        # which the straight-line oracle forms otherwise
+        if not lattice:
+            assert np.array_equal(got, ref_cosine_knn(knn_safe_features(feats), k))
 
 
 class TestNearest:
@@ -837,8 +854,8 @@ class TestFullPipeline:
         m_prime = n - 1
         neighbors, loops, H, compressed = pipeline_stages(
             feats, preds, k=4, alpha=2.0, m_prime=m_prime, seed=seed, use_self_loops=use_loops)
-        clusters = build_artifacts(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
-                                   seed=seed, use_self_loops=use_loops)
+        clusters = build_artifacts(feats, preds, AdaptConfig(
+            k=4, alpha=2.0, h=3, m_prime=m_prime, seed=seed, use_self_loops=use_loops))
         ref = ref_pipeline(feats, preds, k=4, alpha=2.0, h=3, m_prime=m_prime,
                            use_self_loops=use_loops)
         assert np.array_equal(neighbors, ref["neighbors"])
@@ -852,9 +869,25 @@ class TestFullPipeline:
     def test_equals_the_stage_composition_bitwise(self, use_loops):
         feats = rng_for(413).standard_normal((12, 3))
         preds = rng_for(414).dirichlet(np.ones(3), size=12)
-        clusters = build_artifacts(feats, preds, k=4, alpha=2.0, h=2, m_prime=None, seed=0,
-                                   use_self_loops=use_loops)
+        clusters = build_artifacts(feats, preds, AdaptConfig(
+            k=4, alpha=2.0, h=2, seed=0, use_self_loops=use_loops))
         *_, compressed = pipeline_stages(feats, preds, k=4, alpha=2.0, m_prime=11, seed=0,
                                          use_self_loops=use_loops)
         want = cluster_high_order(compressed, 2)
         assert clusters.dtype == want.dtype and clusters.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("high_order", [True, False])
+    def test_zero_rows_take_the_ones_direction(self, high_order):
+        rng = rng_for(415)
+        feats = rng.standard_normal((10, 5))
+        feats[[2, 7]] = 0.0
+        preds = rng.dirichlet(np.ones(4), size=10)
+        safe = knn_safe_features(feats)
+        cfg = AdaptConfig(k=4, alpha=2.0, h=3, m_prime=9, high_order=high_order)
+        clusters = build_artifacts(feats, preds, cfg)
+        assert clusters.tobytes() == build_artifacts(safe, preds, cfg).tobytes()
+        if high_order:
+            want = ref_pipeline(safe, preds, k=4, alpha=2.0, h=3, m_prime=9)["clusters"]
+        else:
+            want = ref_cosine_knn(safe, 3)
+        assert np.array_equal(clusters, want)

@@ -1,5 +1,6 @@
 import copy
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from hypersfda.trainer import (
     _background_mask,
     epoch_permutation,
     iterations_per_epoch,
-    knn_safe_features,
     refresh_hypergraph,
 )
 
@@ -88,32 +88,14 @@ class TestIterationHelpers:
         assert np.array_equal(np.sort(p), np.arange(97))
 
 
-class TestKnnSafeFeatures:
-    def test_passthrough_without_zero_rows(self):
-        z = rng_for(80).uniform(0.1, 1.0, (5, 3))
-        assert knn_safe_features(z) is z
-
-    def test_zero_rows_become_ones(self):
-        z = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 0.0]])
-        out = knn_safe_features(z)
-        assert np.array_equal(out[1], [1.0, 1.0])
-        assert np.array_equal(out[0], z[0]) and np.array_equal(out[2], z[2])
-        assert np.array_equal(z[1], [0.0, 0.0])  # input untouched
-
-
 class TestRefreshHypergraph:
     def test_high_order_matches_manual_build(self):
         model, tgt = small_problem()
         cfg = AdaptConfig(seed=0, **QUICK)
         bank, clusters, _ = refresh_hypergraph(model, tgt, cfg)
         z, p = forward(model, tgt.features)
-        zs = knn_safe_features(z)
-        want = build_artifacts(
-            zs, p, k=cfg.k, alpha=cfg.alpha, h=cfg.h, m_prime=cfg.m_prime,
-            seed=cfg.seed, use_self_loops=cfg.use_self_loops,
-        )
-        assert np.array_equal(clusters, want)
-        assert np.array_equal(bank.features, zs)
+        assert np.array_equal(clusters, build_artifacts(z, p, cfg))
+        assert np.array_equal(bank.features, z)
         assert np.array_equal(bank.predictions, p)
 
     def test_pairwise_fallback_uses_feature_cosine(self):
@@ -121,7 +103,7 @@ class TestRefreshHypergraph:
         cfg = AdaptConfig(seed=0, high_order=False, **QUICK)
         _, clusters, _ = refresh_hypergraph(model, tgt, cfg)
         z, _ = forward(model, tgt.features)
-        assert np.array_equal(clusters, cosine_knn(knn_safe_features(z), cfg.h))
+        assert np.array_equal(clusters, cosine_knn(z, cfg.h))
 
     def test_known_mask_is_open_set_split(self):
         model, tgt = small_problem()
@@ -370,6 +352,27 @@ class TestAdaptRun:
         res_model, res_metrics, _ = adapt(loaded.model, tgt, cfg, resume_from=loaded)
         assert part_metrics + res_metrics == full_metrics
         assert_models_equal(res_model, full_model)
+
+    def test_resume_reads_zero_bank_rows_stored_as_ones(self, tmp_path):
+        # checkpoints once stored a zero-activation bank row as its search
+        # direction, ones; such a row must resume as the zero row it is
+        model, tgt = small_problem()
+        features = tgt.features.copy()
+        features[[3, 17, 40]] = -10.0  # below the near-identity adapter's threshold
+        tgt = replace(tgt, features=features)
+        cfg = AdaptConfig(seed=0, **QUICK)
+        _, _, state = adapt_for(model, tgt, cfg, 3)
+        zero = ~state.bank.features.any(axis=1)
+        assert np.array_equal(np.flatnonzero(zero), [3, 17, 40])
+        ones = copy.deepcopy(state)
+        ones.bank.features[zero] = 1.0
+        runs = []
+        for name, held in (("zeros.ckpt", state), ("ones.ckpt", ones)):
+            save_checkpoint(held, tmp_path / name)
+            loaded = load_checkpoint(tmp_path / name)
+            runs.append(adapt(loaded.model, tgt, cfg, resume_from=loaded))
+        assert_models_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1] and len(runs[0][1]) > 0
 
     def test_checkpoint_roundtrip_preserves_every_field(self, tmp_path):
         model, tgt = small_problem()
