@@ -6,9 +6,9 @@ rotation with noise 0.7 between the domains, 1000 source and 1000 target
 samples, 80 pretraining epochs at lr 0.01, then `adapt` on the unlabeled
 target with batch 32, m' = 8 and a refresh interval past the run's end,
 so it refreshes once. `adapt` runs REPEAT times and the least CPU time per
-iteration is printed. The floor is the least CPU time of the step's nine
-matrix products on the same shapes, with nothing else: two forwards, the
-backward's three products and the loss's two.
+iteration is printed. The floor is the least CPU time of the step's seven
+matrix products on the same shapes, with nothing else: the forward's two,
+the backward's three and the loss's two.
 
 Fresh-process times of the whole CLI spread widely on a shared machine,
 so a change to the step that saves a few percent shows here first. Run
@@ -50,9 +50,8 @@ def step_matmuls(model, x: np.ndarray, loops: int):
 
     def run():
         for _ in range(loops):
-            for _ in range(2):  # the forwards before and after the step
-                x @ model.W_f
-                z @ model.W_g
+            x @ model.W_f  # the step's one forward
+            z @ model.W_g
             z.T @ p  # backward: W_g, dz, W_f
             p @ model.W_g.T
             x.T @ z

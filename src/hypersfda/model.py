@@ -157,13 +157,15 @@ class Workspace:
     sgd_step the new velocity, into whichever of the two velocity vectors
     the velocity passed in is not, so they take turns and the velocity
     passed in survives a failed step. Each new model's parameters are a
-    fresh vector, so an AdaptModel never changes.
+    fresh vector, so an AdaptModel never changes; sgd_step leaves their
+    squared norm in sq_norm.
     """
 
     def __init__(self, model: AdaptModel, rows: int):
         self.z, self.dz = np.empty((2, rows, model.d_z))
         self.active, self.p = np.empty(self.z.shape, bool), np.empty((rows, model.class_count))
         self.grads, *self.velocities = [GradientSet.zeros_like(model) for _ in range(3)]
+        self.sq_norm = 0.0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -224,7 +226,10 @@ def sgd_step(model: AdaptModel, grads: GradientSet, velocity: GradientSet, lr: f
     theta = v * -lr  # theta - lr * v bit for bit, one temporary fewer
     theta += model.flat
     new_model = AdaptModel.from_flat(theta, *model.dims)
-    if not np.isfinite(theta).all():
+    # theta . theta is finite only if theta is; the elementwise test runs only when it
+    # is not, which a finite theta reaches past about 1e154
+    ws.sq_norm = float(theta @ theta)
+    if not math.isfinite(ws.sq_norm) and not np.isfinite(theta).all():
         bad = grads.non_finite()
         raise FloatingPointError(f"non-finite gradient in {bad}" if bad is not None
                                  else f"non-finite values in {new_model.non_finite()}")

@@ -6,9 +6,11 @@ forward pass and replaces the memory bank and per-node close sets. Each
 step retrieves close-set predictions from the bank, forms the background
 set from the rest of the batch, applies the pull/push objective plus the
 EMA-KL regularizer, and takes one momentum-SGD step. Bank rows for the
-batch are rewritten from a fresh forward pass after the step. The whole
-run is a pure function of (datasets, config); checkpoints capture enough
-state to resume bit-exactly.
+batch take the features and predictions of the forward pass the loss
+used, as in AaD and NRC, so a step runs one forward pass. The new model's
+outputs are checked by a norm bound, with an exact forward pass only where
+the bound fails. The whole run is a pure function of (datasets, config);
+checkpoints capture enough state to resume bit-exactly.
 """
 from __future__ import annotations
 
@@ -48,6 +50,12 @@ from .objective import (
     kl_regularizer_batch,
     lambda_schedule,
 )
+
+# For an input row of norm at most R, each logit is at most (R + 1) s + sqrt(s) in
+# magnitude, s being the model's squared parameter norm: Cauchy-Schwarz bounds every
+# product and every partial sum of one. Under this bound, far below float64's 1.8e308,
+# rounding cannot overflow, so the softmax of every target row is finite
+LOGIT_BOUND = 1e300
 
 
 @dataclass
@@ -218,13 +226,6 @@ def evaluate(
     )
 
 
-def _background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:
-    """mask[i, m] marks batch member m as background for anchor i: not i, not in i's close set."""
-    mask = np.logical_and.reduce(batch_clusters[:, :, None] != batch, axis=1)
-    mask.flat[::batch.size + 1] = False
-    return mask
-
-
 def check_adapt_inputs(model: AdaptModel, target: EmbeddingDataset, cfg: AdaptConfig,
                        resume_from: TrainerState | None = None) -> None:
     """Raise ConfigError unless `adapt` can run these inputs, before any work or output.
@@ -268,11 +269,15 @@ def adapt(
     the state whole at the next iteration. Its arrays change in place as
     the run goes on, and its velocity is one of two vectors the steps take
     turns writing; its model never changes. check_adapt_inputs refuses
-    inputs the run cannot use. On a non-finite loss, gradient or post-step
-    output, or a refresh that overflows, TrainingAborted raises carrying
-    the last good state, the state before the failing iteration; this
-    function writes no file. A first refresh that overflows raises
-    ConfigError: the model given is at fault.
+    inputs the run cannot use. Each step runs one forward pass; the batch's
+    bank rows take its outputs. The new model's outputs are shown finite by
+    a bound on its parameter norm and the target's row norms (LOGIT_BOUND);
+    past the bound, an exact forward pass on the batch checks them. On a
+    non-finite loss, gradient or post-step output, or a refresh that
+    overflows, TrainingAborted raises carrying the last good state, the
+    state before the failing iteration; this function writes no file. A
+    first refresh that overflows raises ConfigError: the model given is at
+    fault.
     """
     check_adapt_inputs(model, target, cfg, resume_from)
     n = target.n
@@ -290,6 +295,8 @@ def adapt(
         state = TrainerState(model, ws.velocities[0], EmaState.initial(n, model.class_count),
                              bank, clusters, known_mask, iteration=0, refreshed_at=0)
 
+    # R of LOGIT_BOUND; inf if it overflows, which sends every step to the exact check
+    radius = math.sqrt(float(np.max(np.einsum("ij,ij->i", target.features, target.features))))
     metrics: list[MetricsRecord] = []
     labeled = target.labels is not None
     # this call's alone: its first search, after a start or a resume, is a full one
@@ -316,16 +323,16 @@ def adapt(
         lam = lambda_schedule(t, max_iter, cfg.beta)
         pull = push = reg = total = 0.0
         if batch.size > 0:
-            x = target.features[batch]
-            # copies (fancy indexing), so an abort can rewind the in-place
-            # EMA update and hand over the exact pre-iteration state
-            q_prev, stamp_prev = state.ema.q[batch], state.ema.last_update_iter[batch]
+            x = target.features.take(batch, 0)
+            # copies, so an abort can rewind the in-place EMA update and
+            # hand over the exact pre-iteration state
+            q_prev, stamp_prev = state.ema.q.take(batch, 0), state.ema.last_update_iter[batch]
             try:
                 z, p = forward(state.model, x, ws)
                 batch_clusters = state.clusters[batch]
                 pull_terms, push_terms, upstream = adaptive_loss_batch(
-                    p, state.bank.predictions.take(batch_clusters, 0),
-                    _background_mask(batch, batch_clusters), cfg.gamma, lam)
+                    p, state.bank.predictions.take(batch_clusters, 0), batch, batch_clusters,
+                    cfg.gamma, lam)
                 q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
                 reg_terms, grad_reg = kl_regularizer_batch(q_rows, p)
                 pull, push = float(np.add.reduce(pull_terms)), float(np.add.reduce(push_terms))
@@ -337,14 +344,16 @@ def adapt(
                 grads = backward(state.model, x, z, p, upstream, ws)
                 new_model, new_velocity = sgd_step(
                     state.model, grads, state.velocity, cfg.lr, cfg.momentum, ws)
-                z, p = forward(new_model, x, ws)
-                # the model is finite, so a non-finite z makes its row of p non-finite
-                if np.count_nonzero(np.isfinite(p)) < p.size:
+                # the new model's outputs on every target row are finite within
+                # LOGIT_BOUND; only a step past it pays for the exact check, a forward pass
+                if (not (radius + 1.0) * ws.sq_norm + math.sqrt(ws.sq_norm) <= LOGIT_BOUND
+                        and not np.isfinite(forward(new_model, x)[1]).all()):
                     raise FloatingPointError("non-finite outputs after the step")
             except FloatingPointError as exc:
                 state.ema.q[batch], state.ema.last_update_iter[batch] = q_prev, stamp_prev
                 raise TrainingAborted(f"aborted at iteration {t}: {exc}", state) from exc
             state.model, state.velocity = new_model, new_velocity
+            # still the loss's outputs: no later call of the step writes what z and p view
             state.bank.features[batch] = z
             state.bank.predictions[batch] = p
 

@@ -18,6 +18,8 @@ CSV value by value, as one string. `ref_adapt_iteration` replays one
 iteration of `adapt` with the straight-line `ref_backward` and
 `ref_sgd_step`; it imports the objective's batch functions and the
 trainer's batch helpers, so that only the step is compared.
+`close_sets_for` states a background mask as the batch and close sets
+that `adaptive_loss_batch` takes.
 """
 from __future__ import annotations
 
@@ -144,10 +146,12 @@ def ref_adapt_iteration(state, target, cfg):
 
     Straight-line and allocating: forward without a workspace,
     adaptive_loss_batch, ema_update_batch, kl_regularizer_batch,
-    ref_backward, ref_sgd_step and forward again, after the refresh that
-    falls due; the bank rows of the batch get that last forward's features
-    as they are, zero rows included. The sums are the batch's (pull, push,
-    reg), zeros for an empty batch.
+    ref_backward and ref_sgd_step, after the refresh that falls due; the
+    bank rows of the batch get that forward's features and predictions as
+    they are, zero rows included. The new model's outputs on the batch
+    always get the exact check, a second forward pass, which raises
+    FloatingPointError if they are not finite. The sums are the batch's
+    (pull, push, reg), zeros for an empty batch.
     """
     state = copy.deepcopy(state)
     t, n, size = state.iteration, target.n, cfg.batch_size
@@ -165,14 +169,15 @@ def ref_adapt_iteration(state, target, cfg):
         z, p = forward(state.model, x)
         close = state.clusters[batch]
         pull, push, grad_ada = adaptive_loss_batch(
-            p, state.bank.predictions[close], ref_background_mask(batch, close), cfg.gamma,
+            p, state.bank.predictions[close], batch, close, cfg.gamma,
             lambda_schedule(t, cfg.epochs * per_epoch, cfg.beta))
         q_rows = ema_update_batch(state.ema, batch, p, cfg.delta, t)
         reg, grad_reg = kl_regularizer_batch(q_rows, p)
         grads = GradientSet(*ref_backward(state.model, x, z, p, grad_ada + cfg.eta * grad_reg))
         theta, velocity = ref_sgd_step(state.model, grads, state.velocity, cfg.lr, cfg.momentum)
         state.model, state.velocity = AdaptModel(*theta), GradientSet(*velocity)
-        z, p = forward(state.model, x)
+        if not np.isfinite(forward(state.model, x)[1]).all():
+            raise FloatingPointError("non-finite outputs after the step")
         state.bank.features[batch] = z
         state.bank.predictions[batch] = p
         sums = (float(pull.sum()), float(push.sum()), float(reg.sum()))
@@ -577,6 +582,20 @@ def ref_adaptive_loss_batch(p_live: np.ndarray, close_preds: np.ndarray,
     push = lam * np.einsum("bm,mc,bc->b", w_back, p_live, p_live)
     grad = grad + lam * np.einsum("bm,mc->bc", w_back, p_live)
     return pull, push, grad
+
+
+def close_sets_for(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(batch, batch_clusters) whose in-batch background sets are the rows of `mask`.
+
+    `mask` is (b, b) boolean with a false diagonal. Batch member m is sample
+    m, and row i's close set holds every other member outside its
+    background, padded with i itself, which is never background.
+    """
+    b = mask.shape[0]
+    rows = [[m for m in range(b) if m != i and not mask[i, m]] for i in range(b)]
+    width = max(1, *map(len, rows))
+    clusters = [row + [i] * (width - len(row)) for i, row in enumerate(rows)]
+    return np.arange(b), np.array(clusters, dtype=np.int64).reshape(b, width)
 
 
 def ref_background_mask(batch: np.ndarray, batch_clusters: np.ndarray) -> np.ndarray:

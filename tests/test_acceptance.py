@@ -58,6 +58,7 @@ from hypersfda.trainer import iterations_per_epoch
 from helpers import (
     adapt_for,
     central_difference,
+    close_sets_for,
     exhaustive_threshold_split,
     make_bimodal_predictions,
     make_nnls_instance,
@@ -117,7 +118,7 @@ def test_criterion_1_gradient_vs_finite_difference():
         lam = lambda_schedule(int(rng.integers(0, 101)), 100, 0.25)
 
         z, p = forward(model, x)
-        pull, push, grad_ada = adaptive_loss_batch(p, close, mask, gamma, lam)
+        pull, push, grad_ada = adaptive_loss_batch(p, close, *close_sets_for(mask), gamma, lam)
         _, grad_reg = kl_regularizer_batch(q, p)
         grads = backward(model, x, z, p, grad_ada + eta * grad_reg, Workspace(model, b))
 

@@ -13,6 +13,7 @@ from helpers import (
     SQRT2,
     adaptive_loss,
     central_difference,
+    close_sets_for,
     ema_update,
     kl_regularizer,
     prediction_distance,
@@ -143,8 +144,8 @@ class TestAdaptiveLoss:
         # batch row 1 is anchor 0's in-batch background
         p_live = np.stack([p_i, back[0]])
         mask = np.array([[False, True], [False, False]])
-        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close, close]), mask,
-                                               gamma, lam)
+        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close, close]),
+                                               *close_sets_for(mask), gamma, lam)
         assert abs(pull[0] - (-w_a * close[0] @ p_i)) <= 1e-15
         assert abs(push[0] - lam * w_b * back[0] @ p_i) <= 1e-15
         assert np.abs(grad[0] - (-w_a * close[0] + lam * w_b * back[0])).max() <= 1e-15
@@ -158,7 +159,8 @@ class TestAdaptiveLoss:
         p_live = np.vstack([p_i, back])
         mask = np.zeros((7, 7), dtype=bool)
         mask[0, 1:] = True
-        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close] * 7), mask, 1.5, 0.7)
+        pull, push, grad = adaptive_loss_batch(p_live, np.stack([close] * 7), *close_sets_for(mask),
+                                               1.5, 0.7)
         assert abs((pull[0] + push[0]) - grad[0] @ p_i) <= 1e-12
 
     def test_empty_close_set_rejected(self):
@@ -169,18 +171,19 @@ class TestAdaptiveLoss:
         rng = rng_for(74)
         p_i = rand_simplex(rng, 3)
         close = rand_simplex(rng, 2, 3)
-        no_background = np.zeros((1, 1), dtype=bool)
-        pull, push, grad = adaptive_loss_batch(p_i[None], close[None], no_background,
+        no_background = close_sets_for(np.zeros((1, 1), dtype=bool))
+        pull, push, grad = adaptive_loss_batch(p_i[None], close[None], *no_background,
                                                2.0, 1.0)
         assert push[0] == 0.0
         only_pull, _, grad_pull = adaptive_loss_batch(p_i[None], close[None],
-                                                      no_background, 2.0, 0.0)
+                                                      *no_background, 2.0, 0.0)
         assert pull[0] == only_pull[0] and np.array_equal(grad, grad_pull)
 
     def test_identical_neighbor_gets_full_weight(self):
         p_i = np.array([0.3, 0.7])
         pull, _, _ = adaptive_loss_batch(p_i[None], p_i[None, None, :],
-                                         np.zeros((1, 1), dtype=bool), 3.0, 1.0)
+                                         *close_sets_for(np.zeros((1, 1), dtype=bool)),
+                                         3.0, 1.0)
         assert abs(pull[0] - (-p_i @ p_i)) <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0])
@@ -197,7 +200,7 @@ class TestAdaptiveLoss:
         mask = rng.uniform(size=(b, b)) < 0.4
         np.fill_diagonal(mask, False)
         mask[0] = False  # one empty background set
-        pull, push, grad = adaptive_loss_batch(p_live, close, mask, 1.5, 0.6)
+        pull, push, grad = adaptive_loss_batch(p_live, close, *close_sets_for(mask), 1.5, 0.6)
         for i in range(b):
             p1, s1, g1 = adaptive_loss(p_live[i], close[i], p_live[mask[i]], 1.5, 0.6)
             assert abs(pull[i] - p1) <= 1e-12
@@ -212,7 +215,7 @@ class TestAdaptiveLoss:
         p_live = rand_simplex(rng, b, c)
         close = rand_simplex(rng, b, 2, c)
         mask = ~np.eye(b, dtype=bool)
-        pull, push, _ = adaptive_loss_batch(p_live, close, mask, 2.0, 0.3)
+        pull, push, _ = adaptive_loss_batch(p_live, close, *close_sets_for(mask), 2.0, 0.3)
         assert (pull < 0).all() and (push >= 0).all()
 
 
@@ -228,7 +231,7 @@ class TestAdaptiveLoss:
         mask = rng.uniform(size=(b, b)) < 0.7
         np.fill_diagonal(mask, False)
         gamma, lam = float(rng.uniform(0.2, 4.0)), float(rng.uniform(0.0, 1.0))
-        got = adaptive_loss_batch(p_live, close, mask, gamma, lam)
+        got = adaptive_loss_batch(p_live, close, *close_sets_for(mask), gamma, lam)
         want = ref_adaptive_loss_batch(p_live, close, mask, gamma, lam)
         for g, w in zip(got, want):
             assert g.shape == w.shape and np.abs(g - w).max() <= 1e-12

@@ -30,12 +30,13 @@ from hypersfda import (
     pretrain_source,
     save_checkpoint,
     save_model,
+    sgd_step,
 )
 from hypersfda import trainer
 from hypersfda.hypergraph import normalized_entropy
+from hypersfda.objective import adaptive_loss_batch
 from hypersfda.trainer import (
     TrainerState,
-    _background_mask,
     epoch_permutation,
     iterations_per_epoch,
     refresh_hypergraph,
@@ -47,6 +48,7 @@ from helpers import (
     initial_state,
     make_bimodal_predictions,
     ref_adapt_iteration,
+    ref_adaptive_loss_batch,
     ref_background_mask,
     rng_for,
 )
@@ -205,27 +207,40 @@ class TestEvaluate:
 
 
 class TestBackgroundMask:
+    """adaptive_loss_batch's in-batch background sets against the mask oracle."""
+
+    @staticmethod
+    def assert_background(batch, batch_clusters, want_mask):
+        # every background pair weighs well above 1e-12 in the push and its gradient,
+        # so one member counted wrongly shows
+        rng = rng_for(83, batch.size)
+        p_live = rng.dirichlet(np.ones(4), batch.size) + 0.05
+        p_live /= p_live.sum(axis=1, keepdims=True)
+        close = rng.dirichlet(np.ones(4), (batch.size, batch_clusters.shape[1]))
+        got = adaptive_loss_batch(p_live, close, batch, batch_clusters, 2.0, 1.0)
+        want = ref_adaptive_loss_batch(p_live, close, want_mask, 2.0, 1.0)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12
+
     def test_hand_case(self):
         clusters = np.zeros((10, 2), dtype=np.int64)
         clusters[5] = [9, 0]
         clusters[9] = [1, 2]
         clusters[3] = [5, 9]
         batch = np.array([5, 9, 3])
-        mask = _background_mask(batch, clusters[batch])
         want = np.array([
             [False, False, True],   # 9 is close to 5, 3 is not
             [True, False, True],    # neither 5 nor 3 is close to 9
             [False, False, False],  # both 5 and 9 are close to 3
         ])
-        assert np.array_equal(mask, want)
+        self.assert_background(batch, clusters[batch], want)
 
     def test_diagonal_never_background(self):
+        # close sets outside the batch: everyone else is background, never the anchor
         rng = rng_for(81)
-        clusters = rng.integers(0, 20, (20, 3))
         batch = rng.choice(20, size=8, replace=False)
-        mask = _background_mask(batch, clusters[batch])
-        assert not mask.diagonal().any()
-
+        clusters = rng.choice(np.setdiff1d(np.arange(20), batch), (20, 3))
+        self.assert_background(batch, clusters[batch], ~np.eye(8, dtype=bool))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_oracle(self, seed):
@@ -240,9 +255,8 @@ class TestBackgroundMask:
                 return
         if seed % 3 == 0:  # close sets made of batch members
             clusters[batch] = rng.choice(batch, (batch.size, h))
-        mask = _background_mask(batch, clusters[batch])
-        assert mask.dtype == bool
-        assert np.array_equal(mask, ref_background_mask(batch, clusters[batch]))
+        self.assert_background(batch, clusters[batch],
+                               ref_background_mask(batch, clusters[batch]))
 
 
 class TestAdaptRun:
@@ -617,21 +631,25 @@ class TestReusedBuffers:
         self.assert_state_before(exc_info.value, model, tgt, cfg, 2)
 
     def test_non_finite_output_after_the_step_hands_over_the_state_before(self, monkeypatch):
+        # the norm bound fails from iteration 2 on, so that step's outputs get the
+        # exact check, whose forward pass returns a NaN
         model, tgt = small_problem(labeled=False)
         cfg = AdaptConfig(seed=0, **QUICK)
-        fwd, step_calls = trainer.forward, []
+        fwd = trainer.forward
 
-        def nan_after_step_2(model, x, ws=None):
+        def nan_in_the_check(model, x, ws=None):
             z, p = fwd(model, x, ws)
-            if ws is not None:  # the two forwards of each step
-                step_calls.append(1)
-                if len(step_calls) == 6:
-                    p[0, 0] = np.nan
+            if ws is None and len(x) < tgt.n:  # not a refresh's forward pass
+                p[0, 0] = np.nan
             return z, p
 
-        monkeypatch.setattr(trainer, "forward", nan_after_step_2)
+        def unbounded_after_1(state, record):
+            if record.iteration == 1:
+                monkeypatch.setattr(trainer, "LOGIT_BOUND", -1.0)
+
+        monkeypatch.setattr(trainer, "forward", nan_in_the_check)
         with pytest.raises(TrainingAborted, match="outputs after the step$") as exc_info:
-            adapt(model, tgt, cfg)
+            adapt(model, tgt, cfg, iteration_callback=unbounded_after_1)
         monkeypatch.undo()
         self.assert_state_before(exc_info.value, model, tgt, cfg, 2)
 
@@ -655,6 +673,63 @@ class TestReusedBuffers:
         adapt(model, tgt, cfg)
         adapt(part.model, tgt, cfg, resume_from=part)
         assert model.flat.tobytes() == model_then and state_bytes(part) == part_then
+
+
+class TestOneForwardPerStep:
+    """A step's only forward pass feeds the loss and the bank; a norm bound checks the rest."""
+
+    def test_forward_runs_once_per_iteration_and_refresh(self, monkeypatch):
+        model, tgt = small_problem(labeled=False)
+        fwd, calls = trainer.forward, []
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return fwd(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "forward", count)
+        _, metrics, _ = adapt(model, tgt, AdaptConfig(seed=0, **QUICK))
+        assert len(metrics) == 4 and len(calls) == 4 + 2  # refreshes at 0 and 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", [1e100, 1e150, 2.5e152, 1e200, 1e300])
+    def test_bound_aborts_where_the_exact_check_does(self, monkeypatch, lr):
+        # at 1e100 the bound holds on every step, at 1e150 it fails on finite
+        # outputs, and past that the run aborts at iteration 0 or 1; one refresh
+        # only, as later ones on these huge models take seconds
+        model, tgt = small_problem(labeled=False)
+        cfg = AdaptConfig(seed=0, lr=lr, **{**QUICK, "epochs": 4, "t_in": 100})
+
+        def outcome():
+            try:
+                return "finished", state_bytes(adapt(model, tgt, cfg)[2])
+            except TrainingAborted as exc:
+                return str(exc), state_bytes(exc.last_good)
+
+        bounded = outcome()
+        monkeypatch.setattr(trainer, "LOGIT_BOUND", -1.0)  # the exact check on every step
+        assert outcome() == bounded
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1.0, 1e10])
+    def test_overflow_on_finite_parameters_fails_the_bound(self, monkeypatch, scale):
+        # rows near 5 * scale * e_0, and a first step to the model with logit_0 =
+        # a^2 x_0: about 4e308 on every row, so p is NaN, while s = 2 a^2 stays
+        # finite (1.6e308). sqrt(s) alone never sees the overflow, and at scale
+        # 1e10 (s = 1.6e298) neither does s + sqrt(s): only the R s term does
+        features = 5.0 * np.eye(1, 4) + rng_for(97).normal(0.0, 0.1, (40, 4))
+        tgt = EmbeddingDataset(scale * features, None, "target", 3)
+        a = np.sqrt(8e307 / scale)
+        w = np.diag([a, 0.0, 0.0, 0.0])
+        crafted = AdaptModel(w, np.zeros(4), w[:, :3], np.zeros(3))
+
+        def step_to_crafted(*args):
+            _, velocity = sgd_step(*args)
+            args[-1].sq_norm = float(crafted.flat @ crafted.flat)
+            return crafted, velocity
+
+        monkeypatch.setattr(trainer, "sgd_step", step_to_crafted)
+        with pytest.raises(TrainingAborted, match="^aborted at iteration 0: non-finite outputs"):
+            adapt(init_model(4, 3, seed=0), tgt, AdaptConfig(seed=0, **QUICK))
 
 
 class TestCheckpointFormat:
